@@ -10,6 +10,7 @@ timing is reported only in the human-readable form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -36,7 +37,10 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every run() shares it."""
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON report")
     common.add_argument(
@@ -218,7 +222,8 @@ def _cmd_find_minimal(args) -> int:
         state = "complete" if res.complete else "INCOMPLETE (budget)"
         print(
             f"find-minimal: {len(res.sets)} minimal sets, {state} "
-            f"({res.nodes} nodes, {elapsed_ms} ms)"
+            f"({res.nodes} nodes, {res.searched} subsets searched, "
+            f"{res.skipped} skipped, {elapsed_ms} ms)"
         )
         for s in sets:
             print("  {" + ", ".join(s["labels"]) + "}")

@@ -34,6 +34,10 @@ from .maps import MapTable
 
 _ADJ_RE = re.compile(r"^c(\d+)$")
 
+#: What malformed values raise inside the constructors: wrong types, bad
+#: literals, non-finite numbers such as 1e400, and truncated lists.
+_MALFORMED = (TypeError, ValueError, OverflowError, IndexError)
+
 
 def _parse_u(value, source: str) -> int:
     if not isinstance(value, str):
@@ -72,7 +76,7 @@ def image_from_spec(data: dict, *, source: str = "<image>") -> DigitalImage:
         raise
     except KeyError as exc:
         raise InputFileError(f"{source}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InputFileError(f"{source}: {exc}") from exc
     except DigitalTopologyError:
         raise
@@ -95,7 +99,7 @@ def subset_from_spec(data: dict, img: DigitalImage, *, source: str = "<subset>")
             return mask_from_indices(indices)
     except InputFileError:
         raise
-    except (TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InputFileError(f"{source}: {exc}") from exc
     except DigitalTopologyError as exc:
         raise InputFileError(f"{source}: {exc}") from exc
@@ -129,7 +133,7 @@ def map_from_spec(
         return MapTable(dom, cod, tuple(table))
     except InputFileError:
         raise
-    except (TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InputFileError(f"{source}: {exc}") from exc
 
 
@@ -168,8 +172,10 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputFileError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise InputFileError(f"{path}: JSON nested too deeply") from exc
 
 
 # -- DOT export ------------------------------------------------------------

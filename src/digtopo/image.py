@@ -94,6 +94,7 @@ class DigitalImage:
         "factor_tuples",
         "_dist",
         "_dist_lists",
+        "_balls",
         "_hash",
     )
 
@@ -119,6 +120,7 @@ class DigitalImage:
         self.factor_tuples = factor_tuples
         self._dist = None
         self._dist_lists = None
+        self._balls = None
         self._hash = None
 
     # -- structure ---------------------------------------------------------
@@ -175,6 +177,30 @@ class DigitalImage:
                 [int(v) for v in row] for row in self.metric_matrix()
             ]
         return self._dist_lists
+
+    def ball_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Metric balls as bitmasks: ball_masks()[v][r] holds the vertices
+        within distance r of v, for r up to the largest finite distance.
+
+        Cached like dist_lists, so every search on the image shares them.
+        """
+        if self._balls is None:
+            dist = self.dist_lists()
+            top = max((d for row in dist for d in row if d < INF), default=0)
+            balls = []
+            for row in dist:
+                rings = [0] * (top + 1)
+                for w, d in enumerate(row):
+                    if d < INF:
+                        rings[d] |= 1 << w
+                cur = 0
+                by_r = []
+                for ring in rings:
+                    cur |= ring
+                    by_r.append(cur)
+                balls.append(tuple(by_r))
+            self._balls = tuple(balls)
+        return self._balls
 
     def dist(self, i: int, j: int) -> int:
         return int(self.metric_matrix()[i, j])
@@ -365,10 +391,17 @@ def build_from_points(
     )
 
 
-def build_explicit(n_vertices: int, edges: Iterable[Sequence[int]]) -> DigitalImage:
+def build_explicit(
+    n_vertices: int,
+    edges: Iterable[Sequence[int]],
+    *,
+    point_budget: int = DEFAULT_POINT_BUDGET,
+) -> DigitalImage:
     """Abstract image on vertices 0..n_vertices-1 with the given edges."""
     if n_vertices < 1:
         raise ValueError("an image needs at least one vertex")
+    if n_vertices > point_budget:
+        raise BudgetExceeded(f"image has more than {point_budget} vertices")
     masks = [0] * n_vertices
     for e in edges:
         a, b = int(e[0]), int(e[1])
@@ -389,7 +422,9 @@ def build_explicit(n_vertices: int, edges: Iterable[Sequence[int]]) -> DigitalIm
 CycleIndexing = tuple[int, ...]
 
 
-def build_cycle(v: int) -> tuple[DigitalImage, CycleIndexing]:
+def build_cycle(
+    v: int, *, point_budget: int = DEFAULT_POINT_BUDGET
+) -> tuple[DigitalImage, CycleIndexing]:
     """Abstract cycle of length v >= 4; returns the image and its circular order.
 
     Cycles are always built abstractly for uniformity across parities; use
@@ -397,8 +432,10 @@ def build_cycle(v: int) -> tuple[DigitalImage, CycleIndexing]:
     """
     if v < 4:
         raise BadCycleLength(f"cycles need at least 4 vertices, got {v}")
+    if v > point_budget:
+        raise BudgetExceeded(f"cycle has more than {point_budget} vertices")
     edges = [(i, (i + 1) % v) for i in range(v)]
-    return build_explicit(v, edges), tuple(range(v))
+    return build_explicit(v, edges, point_budget=point_budget), tuple(range(v))
 
 
 def cycle_grid(v: int) -> tuple[DigitalImage, CycleIndexing]:

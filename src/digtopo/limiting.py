@@ -10,7 +10,7 @@ Verdicts come from the counterexample search: a failed query carries the
 first violating map in search order, a held query reports the exhausted
 node count, and a blown budget is a third outcome distinct from both.
 Limitedness only grows with the subset, so minimality reduces to checking
-single deletions.
+single deletions, and a witness refutes every subset it moves little.
 """
 
 from __future__ import annotations
@@ -140,12 +140,16 @@ class MinimalSetResult:
     """Minimal limiting sets found up to a size cap, in discovery order.
 
     complete is False when the node budget ran out; sets found before the
-    cutoff are still reported.
+    cutoff are still reported.  nodes counts the nodes of the searches
+    that ran; searched counts those searches and skipped the subsets that
+    earlier results decided without one.
     """
 
     sets: list[SubsetMask]
     complete: bool
     nodes: int
+    searched: int = 0
+    skipped: int = 0
 
 
 def find_minimal_limiting_sets(
@@ -160,21 +164,49 @@ def find_minimal_limiting_sets(
 ) -> MinimalSetResult:
     """All minimal (m, n)-limiting sets with at most size_cap vertices.
 
-    Subsets are scanned smallest-first in lexicographic index order;
-    verdicts are memoized, and minimality of a found set reads its single
-    deletions out of the memo.
+    Subsets are scanned smallest-first in lexicographic index order, and a
+    subset is searched only when no earlier result decides it.  Two facts
+    decide the others:
+
+    - every superset of a limiting set is limiting, so a subset holding a
+      set already found is limiting but not minimal;
+    - a witness f moves every vertex of S_f = {x : d(x, f(x)) <= m} at
+      most m and some vertex more than n, so it refutes every subset of
+      S_f.
+
+    A subset is skipped when it holds a found set or lies inside the S_f
+    of a stored witness.  A search that finds a witness stores its S_f;
+    only maximal S_f masks are kept, since one inside another refutes
+    nothing more.
+
+    A search that exhausts proves its subset A minimal.  Every proper
+    subset B of A is smaller, so the scan reached it earlier.  B holds no
+    found set F, or F would lie in A too and A would have been skipped;
+    for the same reason B itself was not found.  So B was refuted, by a
+    search or by a stored S_f, and no proper subset of A is limiting.
+    Conversely a minimal limiting set L holds no other found set (that
+    set would be a limiting proper subset) and lies in no S_f (that
+    witness would refute it), so L is searched and found.  The sets are
+    therefore exactly those of a scan that searches every subset.
+
+    nodes counts only the searches that ran, and node_budget caps their
+    total.  On a complete result, searched + skipped is the number of
+    subsets with at most size_cap vertices.
     """
     if size_cap < 0:
         raise ValueError("size cap must be nonnegative")
-    verdicts: dict[SubsetMask, bool] = {}
-    nodes = 0
     found: list[SubsetMask] = []
+    refuted: list[SubsetMask] = []  # maximal S_f masks of the witnesses
+    nodes = searched = skipped = 0
     for size in range(min(size_cap, img.n) + 1):
         for combo in itertools.combinations(range(img.n), size):
             mask = mask_from_indices(combo)
+            if _decided(mask, found, refuted):
+                skipped += 1
+                continue
             remaining = node_budget - nodes
             if remaining <= 0:
-                return MinimalSetResult(found, False, nodes)
+                return MinimalSetResult(found, False, nodes, searched, skipped)
             v = is_limiting(
                 img,
                 mask,
@@ -184,15 +216,31 @@ def find_minimal_limiting_sets(
                 threads=threads,
                 max_vertices=max_vertices,
             )
+            searched += 1
             nodes += v.nodes
             if v.holds is None:
-                return MinimalSetResult(found, False, nodes)
-            verdicts[mask] = v.holds
-            if v.holds and all(
-                not verdicts[mask & ~(1 << a)] for a in combo
-            ):
+                return MinimalSetResult(found, False, nodes, searched, skipped)
+            if v.holds:
                 found.append(mask)
-    return MinimalSetResult(found, True, nodes)
+                continue
+            dist = img.dist_lists()
+            table = v.witness.table
+            s_f = mask_from_indices(
+                x for x in range(img.n) if dist[x][table[x]] <= m
+            )
+            refuted = [s for s in refuted if s & ~s_f] + [s_f]
+    return MinimalSetResult(found, True, nodes, searched, skipped)
+
+
+def _decided(mask: SubsetMask, found: list[SubsetMask], refuted: list[SubsetMask]) -> bool:
+    """The subset holds a found set or lies inside a witness's S_f."""
+    for f in found:
+        if f & mask == f:
+            return True
+    for s in refuted:
+        if mask | s == s:
+            return True
+    return False
 
 
 def limiting_profile(

@@ -178,7 +178,9 @@ class _PairSpace:
     """Distance rows of the domain and radius balls of the codomain.
 
     ball(v, r) is the mask of codomain vertices within distance r of v;
-    r may be the INF sentinel, matching everything.
+    r may be the INF sentinel, matching everything.  Both tables are
+    cached on their images, so building a pair space is cheap once an
+    image has been searched.
     """
 
     __slots__ = ("dom", "cod", "dist_dom", "full", "max_r", "balls")
@@ -187,21 +189,9 @@ class _PairSpace:
         self.dom = dom
         self.cod = cod
         self.dist_dom = dom.dist_lists()
-        cod_dist = cod.dist_lists()
         self.full = (1 << cod.n) - 1
-        finite = [d for row in cod_dist for d in row if d < INF]
-        self.max_r = max(finite) if finite else 0
-        balls = []
-        for v in range(cod.n):
-            by_r = []
-            cur = 0
-            for r in range(self.max_r + 1):
-                for w in range(cod.n):
-                    if cod_dist[w][v] == r:
-                        cur |= 1 << w
-                by_r.append(cur)
-            balls.append(by_r)
-        self.balls = balls
+        self.balls = cod.ball_masks()
+        self.max_r = len(self.balls[0]) - 1 if self.balls else 0
 
     def ball(self, v: int, r: int) -> int:
         if r >= INF:
@@ -271,9 +261,13 @@ def _first_witness(
     viol: Sequence[int],
     cap: int,
 ) -> _BranchResult:
-    """Budgeted depth-first search for the first violating assignment."""
+    """Budgeted depth-first search for the first violating assignment.
+
+    The space must be the self-map space of a connected image, so that
+    every domain distance indexes a ball row directly.
+    """
     dist = space.dist_dom
-    ball = space.ball
+    balls = space.balls
     assign = [0] * space.dom.n
     nodes = 0
 
@@ -292,8 +286,9 @@ def _first_witness(
             vio = violated or bool(viol[x] >> v & 1)
             nc = list(cand)
             ok = True
+            bv = balls[v]
             for y in rest:
-                ny = nc[y] & ball(v, dx[y])
+                ny = nc[y] & bv[dx[y]]
                 if not ny:
                     ok = False
                     break
@@ -337,19 +332,16 @@ class SearchOutcome:
 
 def _bfs_order_from(img: DigitalImage, mask: SubsetMask) -> list[int]:
     """Vertices sorted by breadth-first distance from the masked set,
-    ties broken by canonical index.  An empty set gives canonical order."""
-    da = [INF] * img.n
-    queue = deque()
-    for a in _bits(mask):
-        da[a] = 0
-        queue.append(a)
-    while queue:
-        x = queue.popleft()
-        for y in _bits(img.neighbor_masks[x]):
-            if da[y] == INF:
-                da[y] = da[x] + 1
-                queue.append(y)
-    return sorted(range(img.n), key=lambda x: (da[x], x))
+    ties broken by canonical index.  An empty set gives canonical order.
+
+    The distance from the set is the least metric distance to one of its
+    vertices, read from the cached metric rows.
+    """
+    rows = [img.dist_lists()[a] for a in _bits(mask)]
+    if not rows:
+        return list(range(img.n))
+    da = [min(col) for col in zip(*rows)]
+    return sorted(range(img.n), key=da.__getitem__)
 
 
 def run_counterexample_search(

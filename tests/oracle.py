@@ -189,17 +189,34 @@ def cycle_self_maps(v: int):
             yield tuple((start + w) % v for w in walk)
 
 
+def _trace_of_power(step: list[list[int]], v: int) -> int:
+    n = len(step)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(v):
+        power = [
+            [sum(power[i][k] * step[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return sum(power[i][i] for i in range(n))
+
+
 def cycle_closed_walk_count(v: int) -> int:
     """trace((A + I)^v) for the v-cycle's adjacency matrix A, in exact
     integers: the number of continuous self-maps of C_v."""
     step = [[int((i - j) % v in (0, 1, v - 1)) for j in range(v)] for i in range(v)]
-    power = [[int(i == j) for j in range(v)] for i in range(v)]
-    for _ in range(v):
-        power = [
-            [sum(power[i][k] * step[k][j] for k in range(v)) for j in range(v)]
-            for i in range(v)
-        ]
-    return sum(power[i][i] for i in range(v))
+    return _trace_of_power(step, v)
+
+
+def closed_walk_count(img, v: int) -> int:
+    """trace((A + I)^v) for the image's adjacency matrix A, in exact
+    integers: the number of continuous maps from the v-cycle to the image.
+
+    Such a map is a closed walk of v steps in which each step stays put or
+    crosses an edge, and A + I counts exactly those steps.
+    """
+    adj = adjacency_sets(img)
+    step = [[int(i == j or j in adj[i]) for j in range(img.n)] for i in range(img.n)]
+    return _trace_of_power(step, v)
 
 
 def cycle_triple_thresholds(v: int) -> dict[tuple[int, int, int], int]:

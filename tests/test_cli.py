@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from digtopo.cli import run
+from digtopo.cli import build_parser, run
 from digtopo.fileio import parse_dot
+from digtopo.image import DEFAULT_POINT_BUDGET
 
 
 @pytest.fixture
@@ -82,6 +84,34 @@ def test_input_error_exits(square_files, capsys):
     capsys.readouterr()
 
 
+def test_oversized_image_is_refused_before_building(write_json, capsys):
+    corners = write_json("set.json", {"indices": [0]})
+    for spec in (
+        {"constructor": "explicit", "n": DEFAULT_POINT_BUDGET + 1, "edges": []},
+        {"constructor": "cycle", "v": DEFAULT_POINT_BUDGET + 1},
+    ):
+        img = write_json("big.json", spec)
+        # a construction budget, like a box's point budget: exit 2
+        assert run(["verify-freezing", "--image", img, "--set", corners]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"more than {DEFAULT_POINT_BUDGET} vertices" in captured.err
+
+
+def test_parser_is_built_once(square_files, capsys):
+    img, corners = square_files
+    argv = ["verify-cold", "--image", img, "--set", corners, "--s", "1", "--json"]
+    parser = build_parser()
+    outputs = []
+    for _ in range(3):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert run(["verify-cold", "--image", img]) == 3
+        capsys.readouterr()
+    assert build_parser() is parser
+    assert len(set(outputs)) == 1
+
+
 def test_json_byte_identical_across_threads_and_runs(square_files, capsys):
     img, corners = square_files
     outputs = []
@@ -121,6 +151,19 @@ def test_find_minimal(write_json, capsys):
     assert code == 0
     assert report["complete"] is True
     assert report["sets"] == [{"indices": [0, 1], "labels": ["(0)", "(1)"]}]
+
+
+def test_find_minimal_report_shape(write_json, capsys):
+    img = write_json("c8.json", {"constructor": "cycle", "v": 8})
+    argv = ["find-minimal", "--image", img, "--m", "0", "--n", "0", "--size-cap", "3"]
+    assert run(argv + ["--json"]) == 0
+    report = _json_out(capsys)
+    # searched and skipped counts stay out of the JSON report
+    assert sorted(report) == ["command", "complete", "nodes", "query", "schema", "sets"]
+    assert len(report["sets"]) == 8
+    assert run(argv) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert re.search(r"\(\d+ nodes, \d+ subsets searched, \d+ skipped, \d+ ms\)$", first)
 
 
 def test_profile(square_files, capsys):

@@ -18,6 +18,7 @@ from digtopo.errors import (
     NotEmbedded,
 )
 from digtopo.image import (
+    DEFAULT_POINT_BUDGET,
     INF,
     apply_grid_isometry,
     boundary,
@@ -89,6 +90,20 @@ def test_box_rejects_empty_interval():
 def test_box_point_budget():
     with pytest.raises(BudgetExceeded):
         build_box([(0, 99), (0, 99)], 1, point_budget=100)
+
+
+def test_explicit_and_cycle_vertex_budget():
+    assert build_explicit(10, [], point_budget=10).n == 10
+    with pytest.raises(BudgetExceeded):
+        build_explicit(11, [], point_budget=10)
+    assert build_cycle(10, point_budget=10)[0].n == 10
+    with pytest.raises(BudgetExceeded):
+        build_cycle(11, point_budget=10)
+    # the default budget is the one boxes and point sets use
+    with pytest.raises(BudgetExceeded):
+        build_explicit(DEFAULT_POINT_BUDGET + 1, [])
+    with pytest.raises(BudgetExceeded):
+        build_cycle(DEFAULT_POINT_BUDGET + 1)
 
 
 @given(point_sets, st.integers(1, 2))
@@ -234,6 +249,19 @@ def test_metric_ball(path3):
 def test_metric_ball_excludes_unreachable():
     img = build_from_points([(0, 0), (5, 5)], 1)
     assert mask_indices(metric_ball(img, 0, 100)) == [0]
+
+
+@given(point_sets, st.integers(1, 2))
+@settings(max_examples=40, deadline=None)
+def test_ball_masks_match_metric_balls(pts, u):
+    img = build_from_points(pts, u)
+    balls = img.ball_masks()
+    assert balls is img.ball_masks()
+    for v in range(img.n):
+        for r, mask in enumerate(balls[v]):
+            assert mask == metric_ball(img, v, r)
+        # the last radius already holds v's whole component
+        assert balls[v][-1] == metric_ball(img, v, INF - 1)
 
 
 def test_boundary_box():

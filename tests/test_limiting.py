@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -165,6 +168,54 @@ def test_find_minimal_cycle_triples(cycle8):
 def test_find_minimal_budget(cycle8):
     r = find_minimal_limiting_sets(cycle8, 0, 0, 3, node_budget=10)
     assert not r.complete
+
+
+def test_find_minimal_budget_caps_searches_that_run(cycle8):
+    full = find_minimal_limiting_sets(cycle8, 0, 0, 3)
+    assert full.complete
+    assert find_minimal_limiting_sets(cycle8, 0, 0, 3, node_budget=full.nodes) == full
+    cut = find_minimal_limiting_sets(cycle8, 0, 0, 3, node_budget=full.nodes - 1)
+    assert not cut.complete
+    assert cut.nodes == full.nodes - 1
+
+
+def _minimal_sets_by_plain_scan(img, m, n, cap):
+    """Every subset up to the cap decided by its own search; a limiting
+    subset is minimal when no single deletion limits."""
+    limits = {}
+    out = []
+    for size in range(min(cap, img.n) + 1):
+        for combo in itertools.combinations(range(img.n), size):
+            mask = mask_from_indices(combo)
+            limits[mask] = is_limiting(img, mask, m, n).holds
+            if limits[mask] and not any(limits[mask & ~(1 << a)] for a in combo):
+                out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize(
+    "build, m, n, cap",
+    [
+        (lambda: build_box([(0, 1)], 1), 0, 0, 2),
+        (lambda: build_box([(0, 1)], 1), 0, 1, 2),
+        (lambda: build_cycle(8)[0], 0, 0, 3),
+        (lambda: build_box([(0, 2), (0, 2)], 1), 0, 0, 3),
+        (lambda: build_box([(0, 2), (0, 2)], 1), 0, 1, 3),
+        (lambda: build_box([(0, 2), (0, 2)], 2), 0, 0, 3),
+        (lambda: build_box([(0, 2), (0, 2)], 2), 0, 1, 3),
+        (lambda: build_cycle(10)[0], 1, 1, 4),
+    ],
+    ids=["seg-00", "seg-01", "cycle8-00", "box3c1-00", "box3c1-01",
+         "box3c2-00", "box3c2-01", "cycle10-11"],
+)
+def test_find_minimal_matches_plain_scan(build, m, n, cap):
+    img = build()
+    r = find_minimal_limiting_sets(img, m, n, cap)
+    assert r.complete
+    assert r.sets == _minimal_sets_by_plain_scan(img, m, n, cap)
+    assert r.searched + r.skipped == sum(
+        math.comb(img.n, k) for k in range(min(cap, img.n) + 1)
+    )
 
 
 # -- profiles --------------------------------------------------------------

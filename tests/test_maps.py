@@ -18,6 +18,7 @@ from digtopo.image import (
     mask_from_indices,
     mask_from_points,
     metric,
+    product,
 )
 from digtopo.maps import (
     MapTable,
@@ -172,6 +173,26 @@ def test_maps_between_oracle(seg, path3):
     assert found == oracle.continuous_maps_between(seg, path3)
     found = {f.table for f in continuous_maps_between(path3, seg)}
     assert found == oracle.continuous_maps_between(path3, seg)
+
+
+@pytest.mark.parametrize(
+    "build, lengths",
+    [
+        (lambda: build_box([(0, 2), (0, 2)], 1), range(4, 8)),
+        (lambda: build_box([(0, 2), (0, 2)], 2), range(4, 7)),
+        (lambda: build_box([(0, 1), (0, 2)], 2), range(4, 7)),
+        (lambda: product([build_cycle(4)[0], build_box([(0, 1)], 1)], 1), range(4, 8)),
+        (lambda: product([build_cycle(4)[0], build_box([(0, 1)], 1)], 2), range(4, 6)),
+    ],
+    ids=["box3x3c1", "box3x3c2", "box2x3c2", "C4xI-np1", "C4xI-np2"],
+)
+def test_maps_from_cycles_match_closed_form(build, lengths):
+    """Continuous maps C_v -> X are the closed v-walks of A_X + I."""
+    target = build()
+    for v in lengths:
+        cycle, _ = build_cycle(v)
+        count = sum(1 for _ in continuous_maps_between(cycle, target))
+        assert count == oracle.closed_walk_count(target, v), v
 
 
 def test_enumerate_vertex_cap():
