@@ -35,8 +35,8 @@ from .maps import MapTable
 _ADJ_RE = re.compile(r"^c(\d+)$")
 
 #: What malformed values raise inside the constructors: wrong types, bad
-#: literals, non-finite numbers such as 1e400, and truncated lists.
-_MALFORMED = (TypeError, ValueError, OverflowError, IndexError)
+#: literals and shapes, and non-finite numbers such as 1e400.
+_MALFORMED = (TypeError, ValueError, OverflowError)
 
 
 def _parse_u(value, source: str) -> int:

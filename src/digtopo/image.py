@@ -346,6 +346,8 @@ def build_box(
     parsed = []
     count = 1
     for iv in intervals:
+        if len(iv) != 2:
+            raise ValueError(f"interval {iv!r} must be a pair [lo, hi]")
         lo, hi = int(iv[0]), int(iv[1])
         if lo > hi:
             raise ValueError(f"interval [{lo},{hi}] is empty")
@@ -391,19 +393,16 @@ def build_from_points(
     )
 
 
-def build_explicit(
-    n_vertices: int,
-    edges: Iterable[Sequence[int]],
-    *,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-) -> DigitalImage:
+def build_explicit(n_vertices: int, edges: Iterable[Sequence[int]]) -> DigitalImage:
     """Abstract image on vertices 0..n_vertices-1 with the given edges."""
     if n_vertices < 1:
         raise ValueError("an image needs at least one vertex")
-    if n_vertices > point_budget:
-        raise BudgetExceeded(f"image has more than {point_budget} vertices")
+    if n_vertices > DEFAULT_POINT_BUDGET:
+        raise BudgetExceeded(f"image has more than {DEFAULT_POINT_BUDGET} vertices")
     masks = [0] * n_vertices
     for e in edges:
+        if len(e) != 2:
+            raise ValueError(f"edge {e!r} must be a pair [a, b]")
         a, b = int(e[0]), int(e[1])
         if not (0 <= a < n_vertices and 0 <= b < n_vertices):
             raise BadEdge(f"edge ({a},{b}) references a vertex out of range")
@@ -422,9 +421,7 @@ def build_explicit(
 CycleIndexing = tuple[int, ...]
 
 
-def build_cycle(
-    v: int, *, point_budget: int = DEFAULT_POINT_BUDGET
-) -> tuple[DigitalImage, CycleIndexing]:
+def build_cycle(v: int) -> tuple[DigitalImage, CycleIndexing]:
     """Abstract cycle of length v >= 4; returns the image and its circular order.
 
     Cycles are always built abstractly for uniformity across parities; use
@@ -432,10 +429,8 @@ def build_cycle(
     """
     if v < 4:
         raise BadCycleLength(f"cycles need at least 4 vertices, got {v}")
-    if v > point_budget:
-        raise BudgetExceeded(f"cycle has more than {point_budget} vertices")
-    edges = [(i, (i + 1) % v) for i in range(v)]
-    return build_explicit(v, edges, point_budget=point_budget), tuple(range(v))
+    edges = ((i, (i + 1) % v) for i in range(v))
+    return build_explicit(v, edges), tuple(range(v))
 
 
 def cycle_grid(v: int) -> tuple[DigitalImage, CycleIndexing]:

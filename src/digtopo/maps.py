@@ -261,13 +261,9 @@ def _first_witness(
     viol: Sequence[int],
     cap: int,
 ) -> _BranchResult:
-    """Budgeted depth-first search for the first violating assignment.
-
-    The space must be the self-map space of a connected image, so that
-    every domain distance indexes a ball row directly.
-    """
+    """Budgeted depth-first search for the first violating assignment."""
     dist = space.dist_dom
-    balls = space.balls
+    ball = space.ball
     assign = [0] * space.dom.n
     nodes = 0
 
@@ -286,9 +282,8 @@ def _first_witness(
             vio = violated or bool(viol[x] >> v & 1)
             nc = list(cand)
             ok = True
-            bv = balls[v]
             for y in rest:
-                ny = nc[y] & bv[dx[y]]
+                ny = nc[y] & ball(v, dx[y])
                 if not ny:
                     ok = False
                     break

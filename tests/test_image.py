@@ -93,13 +93,7 @@ def test_box_point_budget():
 
 
 def test_explicit_and_cycle_vertex_budget():
-    assert build_explicit(10, [], point_budget=10).n == 10
-    with pytest.raises(BudgetExceeded):
-        build_explicit(11, [], point_budget=10)
-    assert build_cycle(10, point_budget=10)[0].n == 10
-    with pytest.raises(BudgetExceeded):
-        build_cycle(11, point_budget=10)
-    # the default budget is the one boxes and point sets use
+    # the budget is the default one boxes and point sets use
     with pytest.raises(BudgetExceeded):
         build_explicit(DEFAULT_POINT_BUDGET + 1, [])
     with pytest.raises(BudgetExceeded):
