@@ -56,7 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on maps enumerated or visited",
     )
     common.add_argument(
-        "--threads", type=int, default=1, help="top-level search branches run concurrently"
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted and ignored; searches run single-threaded",
     )
 
     parser = _Parser(prog="digtopo", description="digital image map analysis")

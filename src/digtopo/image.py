@@ -16,6 +16,7 @@ and every deterministic guarantee elsewhere in the library leans on it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -77,7 +78,8 @@ class AdjacencyKind:
 class DigitalImage:
     """A finite digital image with canonically ordered vertices.
 
-    Instances are immutable after construction; the all-pairs metric is
+    Instances are immutable after construction; the all-pairs metric, the
+    ball tables, the edge pairs and (for cycles) the circular indexing are
     computed lazily and cached.  Equality and hashing are structural over
     (points, adjacency bitmasks) so that separately built copies of the
     same image interoperate.
@@ -95,6 +97,8 @@ class DigitalImage:
         "_dist",
         "_dist_lists",
         "_balls",
+        "_edges",
+        "_cycle",
         "_hash",
     )
 
@@ -121,6 +125,8 @@ class DigitalImage:
         self._dist = None
         self._dist_lists = None
         self._balls = None
+        self._edges = None
+        self._cycle = None
         self._hash = None
 
     # -- structure ---------------------------------------------------------
@@ -151,6 +157,12 @@ class DigitalImage:
             for j in _bits(m):
                 out.append((i, j))
         return out
+
+    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Edges as (i, j) pairs with i < j, built once and cached."""
+        if self._edges is None:
+            self._edges = tuple(self.edge_list())
+        return self._edges
 
     @property
     def edge_count(self) -> int:
@@ -290,6 +302,11 @@ def check_mask(img: DigitalImage, mask: SubsetMask) -> None:
 # -- constructors ----------------------------------------------------------
 
 
+def _is_pair(value) -> bool:
+    """A list or tuple of two entries; an object or string never is."""
+    return isinstance(value, (list, tuple)) and len(value) == 2
+
+
 def _check_points(points: Sequence[Sequence[int]], dim: int | None) -> tuple[Point, ...]:
     out = []
     for p in points:
@@ -306,19 +323,43 @@ def _check_points(points: Sequence[Sequence[int]], dim: int | None) -> tuple[Poi
     return tuple(sorted(out))
 
 
-def _cu_offsets(dim: int, u: int) -> list[Point]:
-    """Nonzero offsets in {-1,0,1}^dim with at most u nonzero coordinates."""
-    out = []
-    for off in itertools.product((-1, 0, 1), repeat=dim):
-        k = sum(1 for c in off if c != 0)
-        if 1 <= k <= u:
-            out.append(off)
-    return out
+def _cu_offsets(dim: int, u: int) -> Iterator[Point]:
+    """Nonzero offsets in {-1,0,1}^dim with at most u nonzero coordinates:
+    each choice of 1..u axes with each sign pattern on them."""
+    for k in range(1, u + 1):
+        for axes in itertools.combinations(range(dim), k):
+            for signs in itertools.product((-1, 1), repeat=k):
+                off = [0] * dim
+                for a, s in zip(axes, signs):
+                    off[a] = s
+                yield tuple(off)
+
+
+def _cu_offset_count(dim: int, u: int) -> int:
+    return sum(math.comb(dim, k) << k for k in range(1, u + 1))
+
+
+#: Point pairs compared at once when neighbors are found pairwise; bounds
+#: each temporary array to a few megabytes.
+_PAIR_BLOCK = 1 << 20
+
+#: Probing one offset from one point costs about as much as comparing this
+#: many point pairs with numpy (1.4 us against 30-40 ns, dimensions 2 and 3).
+_PROBE_COST = 32
 
 
 def _grid_neighbor_masks(points: tuple[Point, ...], dim: int, u: int) -> tuple[int, ...]:
+    """c_u neighbor masks of distinct grid points, by whichever of offset
+    probing and pairwise comparison costs less."""
+    if _cu_offset_count(dim, u) * _PROBE_COST > len(points):
+        return _pairwise_neighbor_masks(points, u)
+    return _probed_neighbor_masks(points, dim, u)
+
+
+def _probed_neighbor_masks(points: tuple[Point, ...], dim: int, u: int) -> tuple[int, ...]:
+    """Each point probes its c_u offsets against a hash of the point set."""
     index = {p: i for i, p in enumerate(points)}
-    offsets = _cu_offsets(dim, u)
+    offsets = list(_cu_offsets(dim, u))
     masks = [0] * len(points)
     for i, p in enumerate(points):
         m = 0
@@ -328,6 +369,26 @@ def _grid_neighbor_masks(points: tuple[Point, ...], dim: int, u: int) -> tuple[i
             if j is not None:
                 m |= 1 << j
         masks[i] = m
+    return tuple(masks)
+
+
+def _pairwise_neighbor_masks(points: tuple[Point, ...], u: int) -> tuple[int, ...]:
+    """c_u rule applied to every pair of points, a block of rows at a time."""
+    pts = np.array(points, dtype=np.int64)
+    n = len(pts)
+    step = max(1, _PAIR_BLOCK // n)
+    masks: list[int] = []
+    for lo in range(0, n, step):
+        block = pts[lo : lo + step]
+        near = np.ones((len(block), n), dtype=bool)
+        differ = np.zeros((len(block), n), dtype=np.int64)
+        for axis in range(pts.shape[1]):
+            d = block[:, axis, None] - pts[None, :, axis]
+            near &= np.abs(d) <= 1
+            differ += d != 0
+        adj = near & (differ >= 1) & (differ <= u)
+        rows = np.packbits(adj, axis=1, bitorder="little")
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in rows)
     return tuple(masks)
 
 
@@ -346,7 +407,7 @@ def build_box(
     parsed = []
     count = 1
     for iv in intervals:
-        if len(iv) != 2:
+        if not _is_pair(iv):
             raise ValueError(f"interval {iv!r} must be a pair [lo, hi]")
         lo, hi = int(iv[0]), int(iv[1])
         if lo > hi:
@@ -376,8 +437,8 @@ def build_from_points(
     """Arbitrary grid point set under c_u adjacency.
 
     Edges are found by probing the c_u offsets of each point against a hash
-    of the point set, which matches a direct pairwise application of the
-    c_u rule.
+    of the point set, or by comparing all point pairs with numpy when that
+    costs less; both match a direct pairwise application of the c_u rule.
     """
     pts = _check_points(points, dim)
     if not pts:
@@ -401,7 +462,7 @@ def build_explicit(n_vertices: int, edges: Iterable[Sequence[int]]) -> DigitalIm
         raise BudgetExceeded(f"image has more than {DEFAULT_POINT_BUDGET} vertices")
     masks = [0] * n_vertices
     for e in edges:
-        if len(e) != 2:
+        if not _is_pair(e):
             raise ValueError(f"edge {e!r} must be a pair [a, b]")
         a, b = int(e[0]), int(e[1])
         if not (0 <= a < n_vertices and 0 <= b < n_vertices):

@@ -17,7 +17,6 @@ is the first in search order.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -58,7 +57,8 @@ class MapTable:
     def __post_init__(self):
         if len(self.table) != self.domain.n:
             raise ValueError("table length must equal the domain size")
-        if any(not 0 <= v < self.codomain.n for v in self.table):
+        t = self.table
+        if t and (min(t) < 0 or max(t) >= self.codomain.n):
             raise ValueError("table entry out of codomain range")
 
     def __call__(self, i: int) -> int:
@@ -103,14 +103,11 @@ def compose(g: MapTable, f: MapTable) -> MapTable:
 
 def is_continuous(f: MapTable) -> bool:
     """Adjacent vertices map to equal or adjacent vertices."""
-    dom, cod, t = f.domain, f.codomain, f.table
-    for i in range(dom.n):
-        ti = t[i]
-        star = cod.nstar_mask(ti)
-        m = dom.neighbor_masks[i] >> (i + 1) << (i + 1)
-        for j in _bits(m):
-            if not star >> t[j] & 1:
-                return False
+    nbrs, t = f.codomain.neighbor_masks, f.table
+    for a, b in f.domain.edge_pairs():
+        ta, tb = t[a], t[b]
+        if ta != tb and not nbrs[ta] >> tb & 1:
+            return False
     return True
 
 
@@ -247,21 +244,15 @@ class _CapHit(Exception):
     pass
 
 
-@dataclass
-class _BranchResult:
-    status: str  # "witness" | "exhausted" | "truncated"
-    table: tuple[int, ...] | None
-    nodes: int  # attempted assignments; equals the witness index on a hit
-
-
 def _first_witness(
     space: _PairSpace,
     order: Sequence[int],
     cand: Sequence[int],
     viol: Sequence[int],
     cap: int,
-) -> _BranchResult:
-    """Budgeted depth-first search for the first violating assignment."""
+) -> SearchOutcome:
+    """Budgeted depth-first search for the first violating assignment of a
+    self-map search; nodes counts attempted assignments."""
     dist = space.dist_dom
     ball = space.ball
     assign = [0] * space.dom.n
@@ -300,10 +291,10 @@ def _first_witness(
     try:
         w = rec(0, list(cand), False)
     except _CapHit:
-        return _BranchResult("truncated", None, nodes)
+        return SearchOutcome("budget", None, cap)
     if w is None:
-        return _BranchResult("exhausted", None, nodes)
-    return _BranchResult("witness", w, nodes)
+        return SearchOutcome("exhausted", None, nodes)
+    return SearchOutcome("witness", MapTable(space.dom, space.dom, w), nodes)
 
 
 @dataclass
@@ -312,8 +303,8 @@ class SearchOutcome:
 
     status is "witness" (violating map found), "exhausted" (none exists),
     or "budget" (node budget hit first).  nodes counts attempted
-    assignments, accumulated in deterministic branch order, so outcomes do
-    not depend on how branches were scheduled.
+    assignments in the deterministic search order; on "budget" it is the
+    budget itself.
     """
 
     status: str
@@ -352,10 +343,10 @@ def run_counterexample_search(
     """Search for a continuous self-map whose restriction to the subset
     moves each subset vertex at most m while some vertex moves more than n.
 
-    The search assigns vertices breadth-first from the subset and splits on
-    the first vertex's candidate values; with threads > 1 the top-level
-    branches run concurrently and are merged in branch order, so verdict,
-    witness, and node count are independent of the schedule.
+    The search assigns vertices breadth-first from the subset, in one
+    depth-first pass that stops at the first witness or once node_budget
+    assignments have been tried.  threads is accepted and ignored: the
+    search is single-threaded, since Python threads gave no speedup on it.
     """
     check_mask(img, subset)
     if m < 0 or n < 0:
@@ -374,35 +365,7 @@ def run_counterexample_search(
     viol = [space.full & ~space.ball(x, n) for x in range(img.n)]
     if not any(cand0[x] & viol[x] for x in range(img.n)):
         return SearchOutcome("exhausted", None, 0)
-
-    x0 = order[0]
-    roots = list(_bits(cand0[x0]))
-
-    def run_branch(v0: int) -> _BranchResult:
-        cand = list(cand0)
-        cand[x0] = 1 << v0
-        return _first_witness(space, order, cand, viol, node_budget)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results: Iterator[_BranchResult] = iter(list(pool.map(run_branch, roots)))
-    else:
-        results = (run_branch(v0) for v0 in roots)
-
-    cum = 0
-    for br in results:
-        if br.status == "witness":
-            if cum + br.nodes <= node_budget:
-                return SearchOutcome(
-                    "witness", MapTable(img, img, br.table), cum + br.nodes
-                )
-            return SearchOutcome("budget", None, node_budget)
-        if br.status == "truncated":
-            return SearchOutcome("budget", None, node_budget)
-        cum += br.nodes
-        if cum > node_budget:
-            return SearchOutcome("budget", None, node_budget)
-    return SearchOutcome("exhausted", None, cum)
+    return _first_witness(space, order, cand0, viol, node_budget)
 
 
 def search_counterexample(
@@ -600,11 +563,23 @@ class CycleMapClass:
     d: int | None = None
 
 
+#: Shared by every nonsurjective map, the common case of a census.
+_NONSURJECTIVE_CLASS = CycleMapClass(NONSURJECTIVE)
+
+
 def cycle_indexing(img: DigitalImage) -> tuple[int, ...]:
     """Circular vertex order of a cycle image, derived deterministically.
 
-    Starts at vertex 0 and walks toward its lowest-index neighbor.
+    Starts at vertex 0 and walks toward its lowest-index neighbor.  The
+    walk is derived once and cached on the image; an image that is not a
+    cycle raises NotACycle on every call.
     """
+    if img._cycle is None:
+        img._cycle = _walk_cycle(img)
+    return img._cycle
+
+
+def _walk_cycle(img: DigitalImage) -> tuple[int, ...]:
     if img.n < 4:
         raise NotACycle("cycles have at least 4 vertices")
     if not img.is_connected() or any(img.degree(i) != 2 for i in range(img.n)):
@@ -647,21 +622,22 @@ def classify_cycle_map(img: DigitalImage, f: MapTable) -> CycleMapClass:
     automorphisms, so every map is nonsurjective, a rotation, or a flipped
     rotation; anything else raises Unclassifiable.
     """
-    idx = cycle_indexing(img)
+    # The cached walk is read directly; cycle_indexing derives it on first
+    # use and raises NotACycle for an image that is no cycle.
+    idx = img._cycle or cycle_indexing(img)
     if f.domain != img or f.codomain != img:
         raise DomainMismatch("map is not a self-map of the given cycle")
     if not is_continuous(f):
         raise ValueError("cycle classification applies to continuous maps")
-    v = img.n
-    if len(set(f.table)) < v:
-        return CycleMapClass(NONSURJECTIVE)
-    pos = {vert: i for i, vert in enumerate(idx)}
-    a = pos[f.table[idx[0]]]
-    nxt = pos[f.table[idx[1]]]
+    v, t = img.n, f.table
+    if len(set(t)) < v:
+        return _NONSURJECTIVE_CLASS
+    a = idx.index(t[idx[0]])
+    nxt = idx.index(t[idx[1]])
     if nxt == (a + 1) % v:
-        if all(f.table[idx[i]] == idx[(a + i) % v] for i in range(v)):
+        if all(t[idx[i]] == idx[(a + i) % v] for i in range(v)):
             return CycleMapClass(ROTATION, a)
     elif nxt == (a - 1) % v:
-        if all(f.table[idx[i]] == idx[(a - i) % v] for i in range(v)):
+        if all(t[idx[i]] == idx[(a - i) % v] for i in range(v)):
             return CycleMapClass(FLIP_ROTATION, a)
     raise Unclassifiable("surjective cycle self-map is not an automorphism")

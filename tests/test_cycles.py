@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import oracle
 from digtopo.errors import NotACycle, Unclassifiable
 from digtopo.image import build_box, build_cycle, cycle_grid, metric
 from digtopo.maps import (
@@ -126,3 +127,66 @@ def test_even_cycle_nonsurjective_bounds():
                 d[f.table[u], f.table[(u + half) % v]] <= 1 for u in range(v)
             )
             assert 4 * displacement(f) >= v - 2
+
+
+def _reference_walk(img):
+    """Circular order from first principles: from vertex 0, always step to
+    the lowest-index neighbor not just left."""
+    v = img.n
+    walk = [0, min(j for j in range(v) if img.adjacent(0, j))]
+    while len(walk) < v:
+        walk.append(min(j for j in range(v) if img.adjacent(walk[-1], j) and j != walk[-2]))
+    return walk
+
+
+def _reference_class(walk, table):
+    """Read the map on positions and compare it with every rotation and
+    flipped rotation."""
+    v = len(walk)
+    pos = {x: i for i, x in enumerate(walk)}
+    g = [pos[table[walk[i]]] for i in range(v)]
+    if len(set(g)) < v:
+        return (NONSURJECTIVE, None)
+    if all(g[i] == (g[0] + i) % v for i in range(v)):
+        return (ROTATION, g[0])
+    if all(g[i] == (g[0] - i) % v for i in range(v)):
+        return (FLIP_ROTATION, g[0])
+    return ("unclassifiable", None)
+
+
+@pytest.mark.parametrize("v", range(4, 11))
+def test_cached_classification_matches_reference(v):
+    img, _ = build_cycle(v)
+    walk = _reference_walk(img)
+    counts = {NONSURJECTIVE: 0, ROTATION: 0, FLIP_ROTATION: 0}
+    for f in enumerate_continuous_self_maps(img):
+        got = classify_cycle_map(img, f)
+        assert (got.kind, got.d) == _reference_class(walk, f.table), f.table
+        counts[got.kind] += 1
+    assert counts[ROTATION] == v
+    assert counts[FLIP_ROTATION] == v
+    assert counts[NONSURJECTIVE] == oracle.cycle_closed_walk_count(v) - 2 * v
+
+
+def test_cached_classification_on_grid_cycle():
+    img, _ = cycle_grid(8)
+    walk = _reference_walk(img)
+    seen = 0
+    for f in enumerate_continuous_self_maps(img):
+        got = classify_cycle_map(img, f)
+        assert (got.kind, got.d) == _reference_class(walk, f.table)
+        seen += 1
+    assert seen == oracle.cycle_closed_walk_count(8)
+
+
+def test_cycle_indexing_is_cached_and_structural(path3):
+    img, _ = build_cycle(9)
+    first = cycle_indexing(img)
+    assert cycle_indexing(img) is first
+    twin, _ = build_cycle(9)
+    assert twin is not img and cycle_indexing(twin) == first
+    grid, _ = cycle_grid(8)
+    assert cycle_indexing(grid) == cycle_indexing(cycle_grid(8)[0])
+    for _ in range(2):
+        with pytest.raises(NotACycle):
+            cycle_indexing(path3)

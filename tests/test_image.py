@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from digtopo.errors import (
 from digtopo.image import (
     DEFAULT_POINT_BUDGET,
     INF,
+    _pairwise_neighbor_masks,
+    _probed_neighbor_masks,
     apply_grid_isometry,
     boundary,
     build_box,
@@ -369,3 +372,58 @@ def test_metric_is_a_metric(pts):
             for k in range(n):
                 if d[i, k] != INF and d[k, j] != INF:
                     assert d[i, j] <= int(d[i, k]) + int(d[k, j])
+
+
+def _enumerated_cu_masks(points, u):
+    """Neighbor masks from every offset in {-1,0,1}^dim with 1..u nonzero
+    coordinates, probed from every point."""
+    dim = len(points[0])
+    index = {p: i for i, p in enumerate(points)}
+    offsets = [
+        off for off in itertools.product((-1, 0, 1), repeat=dim)
+        if 1 <= sum(c != 0 for c in off) <= u
+    ]
+    masks = []
+    for p in points:
+        m = 0
+        for off in offsets:
+            j = index.get(tuple(a + b for a, b in zip(p, off)))
+            if j is not None:
+                m |= 1 << j
+        masks.append(m)
+    return tuple(masks)
+
+
+def test_grid_neighbors_match_full_offset_enumeration():
+    for dim in range(1, 5):
+        for shape in itertools.product((1, 2, 3), repeat=dim):
+            for u in range(1, dim + 1):
+                img = build_box([(0, s - 1) for s in shape], u)
+                want = _enumerated_cu_masks(img.points, u)
+                assert img.neighbor_masks == want, (shape, u)
+                assert _probed_neighbor_masks(img.points, dim, u) == want
+                assert _pairwise_neighbor_masks(img.points, u) == want
+
+
+@given(
+    st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=30, unique=True),
+        st.integers(1, d),
+    ))
+)
+@settings(max_examples=80, deadline=None)
+def test_point_set_neighbors_match_full_offset_enumeration(args):
+    pts, u = args
+    img = build_from_points(pts, u)
+    want = _enumerated_cu_masks(img.points, u)
+    assert img.neighbor_masks == want
+    assert _probed_neighbor_masks(img.points, img.dim, u) == want
+    assert _pairwise_neighbor_masks(img.points, u) == want
+
+
+@pytest.mark.parametrize("u", [1, 30])
+def test_high_dimensional_box_builds_quickly(u):
+    started = time.perf_counter()
+    img = build_box([[0, 0]] * 30, u)
+    assert time.perf_counter() - started < 1.0
+    assert img.n == 1 and img.neighbor_masks == (0,)

@@ -183,3 +183,17 @@ def test_malformed_subset_exits_3(files, text):
     assert code == 3, (text, out, err)
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec", [
+    {"constructor": "explicit", "n": 3, "edges": [{"a": 1, "b": 2}]},
+    {"constructor": "box", "intervals": [{"a": 1, "b": 2}], "adjacency": "c1"},
+])
+def test_pair_given_as_object_is_named(files, spec):
+    root, _, subset = files
+    path = root / "object_pair.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(["verify-freezing", "--image", str(path), "--set", subset])
+    assert code == 3, err
+    assert out == ""
+    assert "must be a pair" in err and "missing field" not in err

@@ -64,6 +64,14 @@ def test_table_validation(path3):
     assert f.is_identity()
 
 
+def test_table_range_checked_in_bulk(path3, seg):
+    for bad in ((0, 1), (0, 1, 2, 0), (0, -1, 1), (-3, 0, 0), (0, 1, 2)):
+        with pytest.raises(ValueError):
+            MapTable(path3, seg, bad)
+    assert MapTable(path3, seg, (0, 1, 1)).table == (0, 1, 1)
+    assert MapTable(seg, path3, (2, 0)).table == (2, 0)
+
+
 def test_identity_constant_compose(path3):
     ident = identity(path3)
     const = constant(path3, 2)
@@ -101,6 +109,42 @@ def test_continuity_matches_oracle(pts, data):
     assert is_continuous(MapTable(img, img, table)) == oracle.is_continuous_table(
         adj, adj, table
     )
+
+
+#: Domains and codomains of the continuity cross-check: boxes, products and
+#: explicit images, including pairs of different images.
+CONTINUITY_IMAGES = (
+    build_box([(0, 2), (0, 1)], 1),
+    build_box([(0, 2), (0, 2)], 2),
+    build_box([(0, 1), (0, 1), (0, 1)], 3),
+    product([build_cycle(4)[0], build_box([(0, 2)], 1)], 1),
+    product([build_cycle(4)[0], build_box([(0, 1)], 1)], 2),
+    build_explicit(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]),
+    build_explicit(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+)
+
+
+@given(
+    st.sampled_from(CONTINUITY_IMAGES),
+    st.sampled_from(CONTINUITY_IMAGES),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_edge_pair_continuity_matches_oracle(dom, cod, data):
+    adj_d, adj_c = oracle.adjacency_sets(dom), oracle.adjacency_sets(cod)
+    # Half the tables start from a continuous map and get one entry moved,
+    # so both answers are common.
+    if data.draw(st.booleans()):
+        skip = data.draw(st.integers(0, 50))
+        start = next(itertools.islice(continuous_maps_between(dom, cod), skip, None), None)
+        table = list(start.table) if start else [0] * dom.n
+        table[data.draw(st.integers(0, dom.n - 1))] = data.draw(st.integers(0, cod.n - 1))
+    else:
+        table = [data.draw(st.integers(0, cod.n - 1)) for _ in range(dom.n)]
+    table = tuple(table)
+    want = oracle.is_continuous_table(adj_d, adj_c, table)
+    assert is_continuous(MapTable(dom, cod, table)) == want
+    assert dom.edge_pairs() == tuple(dom.edge_list())
 
 
 def test_continuity_equals_nonexpansive(cycle8):
