@@ -104,7 +104,7 @@ def compose(g: MapTable, f: MapTable) -> MapTable:
 def is_continuous(f: MapTable) -> bool:
     """Adjacent vertices map to equal or adjacent vertices."""
     nbrs, t = f.codomain.neighbor_masks, f.table
-    for a, b in f.domain.edge_pairs():
+    for a, b in f.domain.edge_list():
         ta, tb = t[a], t[b]
         if ta != tb and not nbrs[ta] >> tb & 1:
             return False
@@ -563,10 +563,6 @@ class CycleMapClass:
     d: int | None = None
 
 
-#: Shared by every nonsurjective map, the common case of a census.
-_NONSURJECTIVE_CLASS = CycleMapClass(NONSURJECTIVE)
-
-
 def cycle_indexing(img: DigitalImage) -> tuple[int, ...]:
     """Circular vertex order of a cycle image, derived deterministically.
 
@@ -622,16 +618,14 @@ def classify_cycle_map(img: DigitalImage, f: MapTable) -> CycleMapClass:
     automorphisms, so every map is nonsurjective, a rotation, or a flipped
     rotation; anything else raises Unclassifiable.
     """
-    # The cached walk is read directly; cycle_indexing derives it on first
-    # use and raises NotACycle for an image that is no cycle.
-    idx = img._cycle or cycle_indexing(img)
+    idx = cycle_indexing(img)
     if f.domain != img or f.codomain != img:
         raise DomainMismatch("map is not a self-map of the given cycle")
     if not is_continuous(f):
         raise ValueError("cycle classification applies to continuous maps")
     v, t = img.n, f.table
     if len(set(t)) < v:
-        return _NONSURJECTIVE_CLASS
+        return CycleMapClass(NONSURJECTIVE)
     a = idx.index(t[idx[0]])
     nxt = idx.index(t[idx[1]])
     if nxt == (a + 1) % v:

@@ -21,8 +21,6 @@ from digtopo.errors import (
 from digtopo.image import (
     DEFAULT_POINT_BUDGET,
     INF,
-    _pairwise_neighbor_masks,
-    _probed_neighbor_masks,
     apply_grid_isometry,
     boundary,
     build_box,
@@ -401,12 +399,10 @@ def test_grid_neighbors_match_full_offset_enumeration():
                 img = build_box([(0, s - 1) for s in shape], u)
                 want = _enumerated_cu_masks(img.points, u)
                 assert img.neighbor_masks == want, (shape, u)
-                assert _probed_neighbor_masks(img.points, dim, u) == want
-                assert _pairwise_neighbor_masks(img.points, u) == want
 
 
 @given(
-    st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.integers(1, 6).flatmap(lambda d: st.tuples(
         st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=30, unique=True),
         st.integers(1, d),
     ))
@@ -417,8 +413,21 @@ def test_point_set_neighbors_match_full_offset_enumeration(args):
     img = build_from_points(pts, u)
     want = _enumerated_cu_masks(img.points, u)
     assert img.neighbor_masks == want
-    assert _probed_neighbor_masks(img.points, img.dim, u) == want
-    assert _pairwise_neighbor_masks(img.points, u) == want
+
+
+@given(
+    st.integers(7, 30).flatmap(lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(-1, 1)] * d), min_size=1, max_size=20, unique=True),
+        st.integers(1, d),
+    ))
+)
+@settings(max_examples=40, deadline=None)
+def test_high_dimensional_neighbors_match_pairwise_rule(args):
+    pts, u = args
+    img = build_from_points(pts, u)
+    for i, p in enumerate(img.points):
+        for j, q in enumerate(img.points):
+            assert img.adjacent(i, j) == oracle.cu_adjacent(p, q, u), (p, q, u)
 
 
 @pytest.mark.parametrize("u", [1, 30])
@@ -427,3 +436,15 @@ def test_high_dimensional_box_builds_quickly(u):
     img = build_box([[0, 0]] * 30, u)
     assert time.perf_counter() - started < 1.0
     assert img.n == 1 and img.neighbor_masks == (0,)
+
+
+def test_edge_list_is_cached_and_each_call_owns_its_list():
+    img = build_box([(0, 2), (0, 1)], 2)
+    first = img.edge_list()
+    want = sorted(
+        (i, j) for i, nb in enumerate(oracle.adjacency_sets(img)) for j in nb if i < j
+    )
+    assert first == want
+    first.clear()
+    assert img.edge_list() == want
+    assert img.edge_list() is not img.edge_list()

@@ -130,7 +130,7 @@ CONTINUITY_IMAGES = (
     st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_edge_pair_continuity_matches_oracle(dom, cod, data):
+def test_continuity_between_images_matches_oracle(dom, cod, data):
     adj_d, adj_c = oracle.adjacency_sets(dom), oracle.adjacency_sets(cod)
     # Half the tables start from a continuous map and get one entry moved,
     # so both answers are common.
@@ -144,7 +144,6 @@ def test_edge_pair_continuity_matches_oracle(dom, cod, data):
     table = tuple(table)
     want = oracle.is_continuous_table(adj_d, adj_c, table)
     assert is_continuous(MapTable(dom, cod, table)) == want
-    assert dom.edge_pairs() == tuple(dom.edge_list())
 
 
 def test_continuity_equals_nonexpansive(cycle8):
