@@ -14,10 +14,11 @@ import functools
 import json
 import sys
 import time
+from dataclasses import dataclass, field
 
 from . import fileio, limiting, maps, metrics
 from .errors import BudgetExceeded, DigitalTopologyError, Unclassifiable
-from .image import DigitalImage, build_cycle, mask_indices
+from .image import build_cycle, mask_indices
 from .maps import MapTable
 
 SCHEMA = "1"
@@ -130,53 +131,42 @@ def _witness_lines(f: MapTable) -> list[str]:
     return out
 
 
-def _verdict_exit(holds: bool | None) -> int:
-    if holds is None:
-        return EXIT_UNKNOWN
-    return EXIT_HOLDS if holds else EXIT_FAILS
+@dataclass
+class _Report:
+    """What one command found.
+
+    fields go into the JSON report after schema, command and query (a
+    query of None is left out).  The first human line is the command,
+    then head, then stats and the elapsed time in parentheses; lines
+    follow it.  A head of None prints lines alone, with no timing line.
+    """
+
+    code: int
+    query: dict | None
+    fields: dict
+    head: str | None
+    stats: list[str] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)
 
 
-def _emit_verdict(args, query: dict, verdict, started: float) -> int:
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "query": query,
-        "holds": verdict.holds,
-        "nodes": verdict.nodes,
-        "witness": _witness_json(verdict.witness) if verdict.witness else None,
-    }
-    if verdict.subset_witness is not None:
-        report["limiting_proper_subset"] = mask_indices(verdict.subset_witness)
-    if args.json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        word = {True: "HOLDS", False: "FAILS", None: "UNKNOWN"}[verdict.holds]
-        print(f"{args.command}: {word} ({verdict.nodes} nodes, {elapsed_ms} ms)")
-        if verdict.witness is not None:
-            print("witness:")
-            for line in _witness_lines(verdict.witness):
-                print(line)
-        if verdict.subset_witness is not None:
-            ids = mask_indices(verdict.subset_witness)
-            print(f"smaller limiting subset: {ids}")
-    return _verdict_exit(verdict.holds)
-
-
-def _load_query(args) -> tuple[DigitalImage, int]:
+def _verify(args, m: int, n: int) -> _Report:
     img = fileio.load_image(args.image)
     subset = fileio.load_subset(args.subset, img)
-    return img, subset
-
-
-def _cmd_verify(args, m: int, n: int) -> int:
-    started = time.perf_counter()
-    img, subset = _load_query(args)
-    kw = dict(node_budget=args.budget_nodes, threads=args.threads)
-    if args.minimal:
-        verdict = limiting.is_minimal_limiting(img, subset, m, n, **kw)
-    else:
-        verdict = limiting.is_limiting(img, subset, m, n, **kw)
+    check = limiting.is_minimal_limiting if args.minimal else limiting.is_limiting
+    v = check(
+        img, subset, m, n, node_budget=args.budget_nodes, threads=args.threads
+    )
+    fields = {
+        "holds": v.holds,
+        "nodes": v.nodes,
+        "witness": _witness_json(v.witness) if v.witness else None,
+    }
+    lines = []
+    if v.witness is not None:
+        lines = ["witness:"] + _witness_lines(v.witness)
+    if v.subset_witness is not None:
+        fields["limiting_proper_subset"] = mask_indices(v.subset_witness)
+        lines.append(f"smaller limiting subset: {mask_indices(v.subset_witness)}")
     query = {
         "image": args.image,
         "set": args.subset,
@@ -184,11 +174,12 @@ def _cmd_verify(args, m: int, n: int) -> int:
         "n": n,
         "minimal": args.minimal,
     }
-    return _emit_verdict(args, query, verdict, started)
+    code = {True: EXIT_HOLDS, False: EXIT_FAILS, None: EXIT_UNKNOWN}[v.holds]
+    word = {True: "HOLDS", False: "FAILS", None: "UNKNOWN"}[v.holds]
+    return _Report(code, query, fields, word, [f"{v.nodes} nodes"], lines)
 
 
-def _cmd_find_minimal(args) -> int:
-    started = time.perf_counter()
+def _find_minimal(args) -> _Report:
     img = fileio.load_image(args.image)
     res = limiting.find_minimal_limiting_sets(
         img,
@@ -205,60 +196,42 @@ def _cmd_find_minimal(args) -> int:
         }
         for mask in res.sets
     ]
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "query": {
-            "image": args.image,
-            "m": args.m,
-            "n": args.n,
-            "size_cap": args.size_cap,
-        },
-        "sets": sets,
-        "complete": res.complete,
-        "nodes": res.nodes,
+    query = {
+        "image": args.image,
+        "m": args.m,
+        "n": args.n,
+        "size_cap": args.size_cap,
     }
-    if args.json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        state = "complete" if res.complete else "INCOMPLETE (budget)"
-        print(
-            f"find-minimal: {len(res.sets)} minimal sets, {state} "
-            f"({res.nodes} nodes, {res.searched} subsets searched, "
-            f"{res.skipped} skipped, {elapsed_ms} ms)"
-        )
-        for s in sets:
-            print("  {" + ", ".join(s["labels"]) + "}")
-    return EXIT_HOLDS if res.complete else EXIT_UNKNOWN
+    state = "complete" if res.complete else "INCOMPLETE (budget)"
+    return _Report(
+        EXIT_HOLDS if res.complete else EXIT_UNKNOWN,
+        query,
+        {"sets": sets, "complete": res.complete, "nodes": res.nodes},
+        f"{len(res.sets)} minimal sets, {state}",
+        [
+            f"{res.nodes} nodes",
+            f"{res.searched} subsets searched",
+            f"{res.skipped} skipped",
+        ],
+        ["  {" + ", ".join(s["labels"]) + "}" for s in sets],
+    )
 
 
-def _cmd_profile(args) -> int:
-    started = time.perf_counter()
-    img, subset = _load_query(args)
+def _profile(args) -> _Report:
+    img = fileio.load_image(args.image)
+    subset = fileio.load_subset(args.subset, img)
     n = limiting.limiting_profile(
         img, subset, args.m, node_budget=args.budget_nodes, threads=args.threads
     )
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "query": {"image": args.image, "set": args.subset, "m": args.m},
-        "profile": n,
-    }
-    if args.json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        print(f"profile: least n = {n} for m = {args.m} ({elapsed_ms} ms)")
-    return EXIT_HOLDS
+    query = {"image": args.image, "set": args.subset, "m": args.m}
+    head = f"least n = {n} for m = {args.m}"
+    return _Report(EXIT_HOLDS, query, {"profile": n}, head)
 
 
-def _cmd_classify(args) -> int:
-    started = time.perf_counter()
+def _classify(args) -> _Report:
     img, _ = build_cycle(args.v)
     counts = {maps.NONSURJECTIVE: 0, maps.ROTATION: 0, maps.FLIP_ROTATION: 0}
-    total = 0
-    unclassified = 0
+    total = unclassified = 0
     for f in maps.enumerate_continuous_self_maps(img):
         total += 1
         if total > args.budget_maps:
@@ -269,81 +242,74 @@ def _cmd_classify(args) -> int:
             counts[maps.classify_cycle_map(img, f).kind] += 1
         except Unclassifiable:
             unclassified += 1
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "query": {"v": args.v},
-        "total": total,
-        "counts": counts,
-        "unclassified": unclassified,
-    }
-    if args.json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        print(
-            f"classify-cycle-maps: v={args.v}, {total} continuous self-maps "
-            f"({elapsed_ms} ms)"
-        )
-        for kind, c in counts.items():
-            print(f"  {kind}: {c}")
-        if unclassified:
-            print(f"  UNCLASSIFIED: {unclassified}")
-    return EXIT_HOLDS if unclassified == 0 else EXIT_FAILS
+    lines = [f"  {kind}: {c}" for kind, c in counts.items()]
+    if unclassified:
+        lines.append(f"  UNCLASSIFIED: {unclassified}")
+    return _Report(
+        EXIT_HOLDS if unclassified == 0 else EXIT_FAILS,
+        {"v": args.v},
+        {"total": total, "counts": counts, "unclassified": unclassified},
+        f"v={args.v}, {total} continuous self-maps",
+        lines=lines,
+    )
 
 
-def _cmd_rigidity(args) -> int:
-    started = time.perf_counter()
-    img = fileio.load_image(args.image)
-    rigid = maps.is_rigid(img)
-    only_id = maps.only_identity_is_1map(img)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "query": {"image": args.image},
-        "rigid": rigid,
-        "only_identity_is_1map": only_id,
-    }
-    if args.json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        print(f"rigidity: {'RIGID' if rigid else 'NOT RIGID'} ({elapsed_ms} ms)")
-        print(f"  only identity is a 1-map: {only_id}")
-    return EXIT_HOLDS if rigid else EXIT_FAILS
+def _rigidity(args) -> _Report:
+    # is_rigid and only_identity_is_1map answer the same question
+    rigid = maps.is_rigid(fileio.load_image(args.image))
+    return _Report(
+        EXIT_HOLDS if rigid else EXIT_FAILS,
+        {"image": args.image},
+        {"rigid": rigid, "only_identity_is_1map": rigid},
+        "RIGID" if rigid else "NOT RIGID",
+        lines=[f"  only identity is a 1-map: {rigid}"],
+    )
 
 
-def _cmd_metrics(args) -> int:
-    started = time.perf_counter()
+def _metrics(args) -> _Report:
     img = fileio.load_image(args.image)
     m0 = fileio.load_subset(args.set0, img)
     m1 = fileio.load_subset(args.set1, img)
     h = metrics.hausdorff(img, m0, m1)
     d = metrics.metric_of_continuity(img, m0, m1)
+    query = {"image": args.image, "set0": args.set0, "set1": args.set1}
+    fields = {"hausdorff": h, "delta": d}
+    return _Report(EXIT_HOLDS, query, fields, f"hausdorff={h} delta={d}")
+
+
+def _export_dot(args) -> _Report:
+    dot = fileio.to_dot(fileio.load_image(args.image))
+    return _Report(EXIT_HOLDS, None, {"dot": dot}, None, lines=dot.splitlines())
+
+
+COMMANDS = {
+    "verify-limiting": lambda args: _verify(args, args.m, args.n),
+    "verify-freezing": lambda args: _verify(args, 0, 0),
+    "verify-cold": lambda args: _verify(args, 0, args.s),
+    "find-minimal": _find_minimal,
+    "profile": _profile,
+    "classify-cycle-maps": _classify,
+    "rigidity": _rigidity,
+    "metrics": _metrics,
+    "export-dot": _export_dot,
+}
+
+
+def _emit(args, r: _Report, started: float) -> int:
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "query": {"image": args.image, "set0": args.set0, "set1": args.set1},
-        "hausdorff": h,
-        "delta": d,
-    }
     if args.json:
+        report = {"schema": SCHEMA, "command": args.command}
+        if r.query is not None:
+            report["query"] = r.query
+        report.update(r.fields)
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
-        print(f"metrics: hausdorff={h} delta={d} ({elapsed_ms} ms)")
-    return EXIT_HOLDS
-
-
-def _cmd_export_dot(args) -> int:
-    img = fileio.load_image(args.image)
-    dot = fileio.to_dot(img)
-    if args.json:
-        report = {"schema": SCHEMA, "command": args.command, "dot": dot}
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        sys.stdout.write(dot)
-    return EXIT_HOLDS
+        if r.head is not None:
+            stats = ", ".join(r.stats + [f"{elapsed_ms} ms"])
+            print(f"{args.command}: {r.head} ({stats})")
+        for line in r.lines:
+            print(line)
+    return r.code
 
 
 def run(argv: list[str]) -> int:
@@ -353,25 +319,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _ArgError("a command is required")
-        if args.command == "verify-limiting":
-            return _cmd_verify(args, args.m, args.n)
-        if args.command == "verify-freezing":
-            return _cmd_verify(args, 0, 0)
-        if args.command == "verify-cold":
-            return _cmd_verify(args, 0, args.s)
-        if args.command == "find-minimal":
-            return _cmd_find_minimal(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "classify-cycle-maps":
-            return _cmd_classify(args)
-        if args.command == "rigidity":
-            return _cmd_rigidity(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "export-dot":
-            return _cmd_export_dot(args)
-        raise _ArgError(f"unknown command {args.command!r}")
+        started = time.perf_counter()
+        return _emit(args, COMMANDS[args.command](args), started)
     except _ArgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -16,6 +16,7 @@ is the first in search order.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -197,20 +198,41 @@ class _PairSpace:
         return by_r[r] if r <= self.max_r else by_r[self.max_r]
 
 
+class _CapHit(Exception):
+    pass
+
+
+def _check_vertex_cap(what: str, max_vertices: int, *sizes: int) -> None:
+    """Refuse work on more than max_vertices vertices."""
+    for n in sizes:
+        if n > max_vertices:
+            raise BudgetExceeded(
+                f"{what} on {n} vertices exceeds the {max_vertices}-vertex cap"
+            )
+
+
 def _assignments(
     space: _PairSpace,
     order: Sequence[int],
     cand: Sequence[int],
     viol: Sequence[int] | None = None,
+    nodes: list[int] | None = None,
+    cap: float = math.inf,
 ) -> Iterator[tuple[int, ...]]:
     """Yield all surviving complete assignments in canonical DFS order.
 
-    With viol given, only assignments placing some vertex x on a value in
-    viol[x] are yielded, and branches that can no longer do so are cut.
+    This is the one forward-checking kernel: vertices are assigned in the
+    given order, values in ascending order from their candidate masks,
+    and every later candidate set is cut to the metric ball the new value
+    allows.  With viol given, only assignments placing some vertex x on a
+    value in viol[x] are yielded, and branches that can no longer do so
+    are cut.  nodes[0], when given, counts attempted assignments; the
+    attempt after the cap-th raises _CapHit.
     """
     dist = space.dist_dom
     ball = space.ball
     assign = [0] * space.dom.n
+    tally = [0] if nodes is None else nodes
 
     def rec(pos: int, cand: list[int], violated: bool) -> Iterator[tuple[int, ...]]:
         if pos == len(order):
@@ -220,54 +242,8 @@ def _assignments(
         rest = order[pos + 1 :]
         dx = dist[x]
         for v in _bits(cand[x]):
-            assign[x] = v
-            vio = violated or (viol is not None and bool(viol[x] >> v & 1))
-            nc = list(cand)
-            ok = True
-            for y in rest:
-                ny = nc[y] & ball(v, dx[y])
-                if not ny:
-                    ok = False
-                    break
-                nc[y] = ny
-            if not ok:
-                continue
-            if viol is not None and not vio:
-                if not any(nc[y] & viol[y] for y in rest):
-                    continue
-            yield from rec(pos + 1, nc, vio)
-
-    return rec(0, list(cand), False)
-
-
-class _CapHit(Exception):
-    pass
-
-
-def _first_witness(
-    space: _PairSpace,
-    order: Sequence[int],
-    cand: Sequence[int],
-    viol: Sequence[int],
-    cap: int,
-) -> SearchOutcome:
-    """Budgeted depth-first search for the first violating assignment of a
-    self-map search; nodes counts attempted assignments."""
-    dist = space.dist_dom
-    ball = space.ball
-    assign = [0] * space.dom.n
-    nodes = 0
-
-    def rec(pos: int, cand: list[int], violated: bool) -> tuple[int, ...] | None:
-        nonlocal nodes
-        if pos == len(order):
-            return tuple(assign) if violated else None
-        x = order[pos]
-        rest = order[pos + 1 :]
-        dx = dist[x]
-        for v in _bits(cand[x]):
-            nodes += 1
-            if nodes > cap:
+            tally[0] += 1
+            if tally[0] > cap:
                 raise _CapHit
             assign[x] = v
             vio = violated or bool(viol[x] >> v & 1)
@@ -283,18 +259,10 @@ def _first_witness(
                 continue
             if not vio and not any(nc[y] & viol[y] for y in rest):
                 continue
-            hit = rec(pos + 1, nc, vio)
-            if hit is not None:
-                return hit
-        return None
+            yield from rec(pos + 1, nc, vio)
 
-    try:
-        w = rec(0, list(cand), False)
-    except _CapHit:
-        return SearchOutcome("budget", None, cap)
-    if w is None:
-        return SearchOutcome("exhausted", None, nodes)
-    return SearchOutcome("witness", MapTable(space.dom, space.dom, w), nodes)
+    # without viol every assignment counts as violating, so none is cut
+    return rec(0, list(cand), viol is None)
 
 
 @dataclass
@@ -330,6 +298,37 @@ def _bfs_order_from(img: DigitalImage, mask: SubsetMask) -> list[int]:
     return sorted(range(img.n), key=da.__getitem__)
 
 
+def _counterexample_tables(
+    img: DigitalImage,
+    subset: SubsetMask,
+    m: int,
+    n: int,
+    max_vertices: int,
+    nodes: list[int] | None = None,
+    cap: float = math.inf,
+) -> Iterator[tuple[int, ...]]:
+    """Validate a limiting query and return the kernel over its
+    counterexample tables: vertices assigned breadth-first from the
+    subset, subset vertices kept within m, and some vertex moved more
+    than n.  A query no candidate can violate returns an empty iterator
+    before any node is counted."""
+    check_mask(img, subset)
+    if m < 0 or n < 0:
+        raise ValueError("displacement bounds must be nonnegative")
+    _check_vertex_cap("search", max_vertices, img.n)
+    if not img.is_connected():
+        raise Disconnected("counterexample search requires a connected image")
+    space = _PairSpace(img, img)
+    cand = [space.full] * img.n
+    for a in _bits(subset):
+        cand[a] = space.ball(a, m)
+    viol = [space.full & ~space.ball(x, n) for x in range(img.n)]
+    if not any(c & w for c, w in zip(cand, viol)):
+        return iter(())
+    order = _bfs_order_from(img, subset)
+    return _assignments(space, order, cand, viol, nodes, cap)
+
+
 def run_counterexample_search(
     img: DigitalImage,
     subset: SubsetMask,
@@ -348,24 +347,15 @@ def run_counterexample_search(
     assignments have been tried.  threads is accepted and ignored: the
     search is single-threaded, since Python threads gave no speedup on it.
     """
-    check_mask(img, subset)
-    if m < 0 or n < 0:
-        raise ValueError("displacement bounds must be nonnegative")
-    if img.n > max_vertices:
-        raise BudgetExceeded(
-            f"search on {img.n} vertices exceeds the {max_vertices}-vertex cap"
-        )
-    if not img.is_connected():
-        raise Disconnected("counterexample search requires a connected image")
-    space = _PairSpace(img, img)
-    order = _bfs_order_from(img, subset)
-    cand0 = [space.full] * img.n
-    for a in _bits(subset):
-        cand0[a] = space.ball(a, m)
-    viol = [space.full & ~space.ball(x, n) for x in range(img.n)]
-    if not any(cand0[x] & viol[x] for x in range(img.n)):
-        return SearchOutcome("exhausted", None, 0)
-    return _first_witness(space, order, cand0, viol, node_budget)
+    nodes = [0]
+    tables = _counterexample_tables(img, subset, m, n, max_vertices, nodes, node_budget)
+    try:
+        w = next(tables, None)
+    except _CapHit:
+        return SearchOutcome("budget", None, node_budget)
+    if w is None:
+        return SearchOutcome("exhausted", None, nodes[0])
+    return SearchOutcome("witness", MapTable(img, img, w), nodes[0])
 
 
 def search_counterexample(
@@ -408,21 +398,8 @@ def iter_counterexamples(
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> Iterator[MapTable]:
     """All counterexamples for the query, in deterministic search order."""
-    check_mask(img, subset)
-    if img.n > max_vertices:
-        raise BudgetExceeded(
-            f"search on {img.n} vertices exceeds the {max_vertices}-vertex cap"
-        )
-    if not img.is_connected():
-        raise Disconnected("counterexample search requires a connected image")
-    space = _PairSpace(img, img)
-    order = _bfs_order_from(img, subset)
-    cand0 = [space.full] * img.n
-    for a in _bits(subset):
-        cand0[a] = space.ball(a, m)
-    viol = [space.full & ~space.ball(x, n) for x in range(img.n)]
-    for table in _assignments(space, order, cand0, viol):
-        yield MapTable(img, img, table)
+    tables = _counterexample_tables(img, subset, m, n, max_vertices)
+    return (MapTable(img, img, t) for t in tables)
 
 
 def enumerate_continuous_self_maps(
@@ -439,13 +416,9 @@ def continuous_maps_between(
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> Iterator[MapTable]:
     """Every continuous map from dom to cod, in lexicographic table order."""
-    if dom.n > max_vertices or cod.n > max_vertices:
-        raise BudgetExceeded(
-            f"enumeration beyond {max_vertices} vertices is refused"
-        )
+    _check_vertex_cap("enumeration", max_vertices, dom.n, cod.n)
     space = _PairSpace(dom, cod)
-    cand = [space.full] * dom.n
-    for table in _assignments(space, range(dom.n), cand):
+    for table in _assignments(space, range(dom.n), [space.full] * dom.n):
         yield MapTable(dom, cod, table)
 
 
@@ -481,10 +454,7 @@ def is_homotopic(
     table; exceeding max_visited raises BudgetExceeded.
     """
     _check_homotopy_args(f, g)
-    if f.domain.n > max_vertices:
-        raise BudgetExceeded(
-            f"homotopy search beyond {max_vertices} vertices is refused"
-        )
+    _check_vertex_cap("homotopy search", max_vertices, f.domain.n)
     if f.table == g.table:
         return True
     space = _PairSpace(f.domain, f.codomain)
@@ -513,35 +483,22 @@ def is_rigid(
 
     Homotopy classes are the connected components of the one-step map
     graph, so the identity sits alone exactly when its one-step
-    neighborhood contains nothing else; the breadth-first search collapses
-    to a single expansion.
+    neighborhood contains nothing else.  Those neighbors are the
+    continuous self-maps moving every vertex at most one step, so this
+    is the same question as only_identity_is_1map, which answers both.
     """
-    if img.n > max_vertices:
-        raise BudgetExceeded(
-            f"rigidity check beyond {max_vertices} vertices is refused"
-        )
-    ident = tuple(range(img.n))
-    space = _PairSpace(img, img)
-    for nb in _one_step_neighbors(space, ident):
-        if nb != ident:
-            return False
-    return True
+    return only_identity_is_1map(img, max_vertices=max_vertices)
 
 
 def only_identity_is_1map(
     img: DigitalImage, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> bool:
     """No continuous self-map other than the identity moves every vertex
-    by at most one step."""
-    if img.n > max_vertices:
-        raise BudgetExceeded(
-            f"enumeration beyond {max_vertices} vertices is refused"
-        )
-    space = _PairSpace(img, img)
-    cand = [img.nstar_mask(x) for x in range(img.n)]
+    by at most one step; equivalently, the image is rigid."""
+    _check_vertex_cap("rigidity check", max_vertices, img.n)
     ident = tuple(range(img.n))
-    for table in _assignments(space, range(img.n), cand):
-        if table != ident:
+    for nb in _one_step_neighbors(_PairSpace(img, img), ident):
+        if nb != ident:
             return False
     return True
 

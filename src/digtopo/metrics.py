@@ -11,11 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetExceeded, Disconnected, EmptySubset, NotAnMMap
-from .image import DigitalImage, SubsetMask, _bits, check_mask, induced
+from .errors import Disconnected, EmptySubset, NotAnMMap
+from .image import (
+    DigitalImage,
+    SubsetMask,
+    _bits,
+    check_mask,
+    induced,
+    mask_from_indices,
+)
 from .maps import (
     DEFAULT_MAX_VERTICES,
     MapTable,
+    _assignments,
+    _check_vertex_cap,
     _PairSpace,
     displacement,
     is_continuous,
@@ -48,52 +57,26 @@ def _min_max_displacement(
     """Least achievable maximum ambient displacement over continuous maps
     from the first induced subset into the second.
 
-    Branch and bound: values are tried nearest-first in the ambient metric
-    and a partial assignment dies once its worst displacement cannot beat
-    the incumbent.  Seeding with the best constant map gives a finite
-    incumbent immediately.
+    A downward threshold scan on the search kernel: look for a map moving
+    every point at most t, starting one below the best constant map.
+    Each map found lowers t to one below its own worst displacement, so
+    the first search that finds nothing proves the answer is t + 1.
     """
-    dom_img, _ = induced(img, sum(1 << i for i in dom_ids))
-    cod_img, _ = induced(img, sum(1 << i for i in cod_ids))
+    dom_img, _ = induced(img, mask_from_indices(dom_ids))
+    cod_img, _ = induced(img, mask_from_indices(cod_ids))
     space = _PairSpace(dom_img, cod_img)
     amb = img.dist_lists()
-    nd, nc = dom_img.n, cod_img.n
-    cost = [[amb[dom_ids[x]][cod_ids[v]] for v in range(nc)] for x in range(nd)]
-    by_cost = [sorted(range(nc), key=lambda v: (cost[x][v], v)) for x in range(nd)]
-    best = min(max(cost[x][v] for x in range(nd)) for v in range(nc))
-    if best == 0:
-        return 0
-    dist_dom = space.dist_dom
-    ball = space.ball
-    full = space.full
-
-    def rec(pos: int, cand: list[int], cur: int):
-        nonlocal best
-        if cur >= best:
-            return
-        if pos == nd:
-            best = cur
-            return
-        dx = dist_dom[pos]
-        for v in by_cost[pos]:
-            c = cost[pos][v]
-            if c >= best:
-                break  # values sorted by cost, nothing better follows
-            if not cand[pos] >> v & 1:
-                continue
-            nc2 = list(cand)
-            ok = True
-            for y in range(pos + 1, nd):
-                ny = nc2[y] & ball(v, dx[y])
-                if not ny:
-                    ok = False
-                    break
-                nc2[y] = ny
-            if ok:
-                rec(pos + 1, nc2, max(cur, c))
-
-    rec(0, [full] * nd, 0)
-    return best
+    cost = [[amb[a][b] for b in cod_ids] for a in dom_ids]
+    t = min(max(col) for col in zip(*cost)) - 1
+    while t >= 0:
+        cand = [
+            mask_from_indices(v for v, c in enumerate(row) if c <= t) for row in cost
+        ]
+        table = next(_assignments(space, range(len(cost)), cand), None)
+        if table is None:
+            break
+        t = max(row[v] for row, v in zip(cost, table)) - 1
+    return t + 1
 
 
 def metric_of_continuity(
@@ -111,10 +94,7 @@ def metric_of_continuity(
         raise Disconnected("subset distances require a connected ambient image")
     a = _subset_ids(img, mask0)
     b = _subset_ids(img, mask1)
-    if len(a) > max_vertices or len(b) > max_vertices:
-        raise BudgetExceeded(
-            f"metric of continuity beyond {max_vertices}-vertex subsets is refused"
-        )
+    _check_vertex_cap("metric of continuity", max_vertices, len(a), len(b))
     return max(
         _min_max_displacement(img, a, b),
         _min_max_displacement(img, b, a),

@@ -287,6 +287,24 @@ def test_search_node_budget(square_c2, corners_c2):
         search_counterexample(square_c2, corners_c2, 0, 0, node_budget=1)
 
 
+def test_node_budget_boundary_is_exact(square_c1, square_c2, cycle8):
+    """A budget of exactly the nodes a search needs decides it the same
+    way; one node less leaves it undecided."""
+    for img in (square_c1, square_c2, cycle8):
+        for subset in (0, mask_from_indices([0]), mask_from_indices([0, 3, 5])):
+            for m, n in ((0, 0), (0, 1), (1, 1)):
+                out = run_counterexample_search(img, subset, m, n)
+                if out.nodes == 0:
+                    continue
+                assert run_counterexample_search(
+                    img, subset, m, n, node_budget=out.nodes
+                ) == out
+                cut = run_counterexample_search(
+                    img, subset, m, n, node_budget=out.nodes - 1
+                )
+                assert (cut.status, cut.nodes) == ("budget", out.nodes - 1)
+
+
 def test_search_counterexample_api(square_c2, corners_c2):
     w = search_counterexample(square_c2, corners_c2, 1, 1)
     assert w is not None and displacement(w) >= 2
@@ -305,6 +323,15 @@ def test_outcome_shape(square_c2, corners_c2):
     assert out.status == "exhausted"
     assert out.witness is None
     assert out.nodes > 0
+
+
+def test_negative_bounds_are_refused_by_every_search_entry_point(square_c1):
+    corners = mask_from_indices([0, 8])
+    for m, n in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            run_counterexample_search(square_c1, corners, m, n)
+        with pytest.raises(ValueError):
+            list(iter_counterexamples(square_c1, corners, m, n))
 
 
 # -- homotopy --------------------------------------------------------------
@@ -339,3 +366,20 @@ def test_only_identity_1map(seg, cycle8):
     assert only_identity_is_1map(build_box([(0, 0)], 1))
     assert not only_identity_is_1map(seg)
     assert not only_identity_is_1map(cycle8)
+
+
+def test_rigidity_matches_one_step_oracle():
+    """Rigid exactly when the identity is the only continuous self-map
+    moving every vertex at most one step, counted by brute force."""
+    for n in range(1, 5):
+        for edges in oracle.connected_graphs(n):
+            img = build_explicit(n, edges)
+            adj = oracle.adjacency_sets(img)
+            ident = tuple(range(n))
+            one_step = [
+                t for t in oracle.continuous_self_maps(img)
+                if all(t[x] == x or t[x] in adj[x] for x in range(n))
+            ]
+            want = one_step == [ident]
+            assert is_rigid(img) == want, edges
+            assert only_identity_is_1map(img) == want, edges

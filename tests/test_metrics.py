@@ -78,10 +78,20 @@ def test_metric_of_continuity_fixtures(square_c1):
     assert metric_of_continuity(square_c1, allm, allm) == 0
 
 
+#: Images of the oracle comparison, built inside the test because
+#: Hypothesis refuses function-scoped fixtures.
+ORACLE_IMAGES = (
+    lambda: build_box([(0, 2), (0, 1)], 1),
+    lambda: build_box([(0, 1), (0, 1)], 2),
+    lambda: build_cycle(6)[0],
+    lambda: build_from_points([(0, 0), (1, 0), (2, 0), (1, 1), (1, 2)], 1),
+)
+
+
 @given(st.data())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_metric_of_continuity_matches_oracle(data):
-    img = build_box([(0, 2), (0, 1)], 1)
+    img = data.draw(st.sampled_from(ORACLE_IMAGES))()
     m0 = data.draw(_nonempty_masks(img.n))
     m1 = data.draw(_nonempty_masks(img.n))
     ids0 = [i for i in range(img.n) if m0 >> i & 1]
