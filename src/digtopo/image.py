@@ -17,11 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     BadAdjacency,
@@ -31,6 +27,9 @@ from .errors import (
     Disconnected,
     NotEmbedded,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Point = tuple[int, ...]
 SubsetMask = int
@@ -172,19 +171,33 @@ class DigitalImage:
     def metric_matrix(self) -> np.ndarray:
         """All-pairs shortest-path distances as a read-only uint16 matrix.
 
-        Cross-component entries hold the INF sentinel.
+        Cross-component entries hold the INF sentinel.  Built from
+        dist_lists on first use; numpy is imported only here.
         """
         if self._dist is None:
-            self._dist = _all_pairs_distances(self)
+            import numpy as np
+
+            d = np.array(self.dist_lists(), dtype=np.uint16)
+            d.flags.writeable = False
+            self._dist = d
         return self._dist
 
     def dist_lists(self) -> list[list[int]]:
-        """Metric matrix as nested Python ints, for tight search loops."""
+        """All-pairs distances as nested Python ints, one breadth-first row
+        per source; cached, and shared with every caller."""
         if self._dist_lists is None:
-            self._dist_lists = [
-                [int(v) for v in row] for row in self.metric_matrix()
-            ]
+            self._dist_lists = _all_pairs_distances(self)
         return self._dist_lists
+
+    def dist_row(self, x: int) -> list[int]:
+        """Distances from x: the cached row when the full table exists,
+        else one breadth-first search, so a few rows of a large image
+        never cost the whole table."""
+        if not 0 <= x < self.n:
+            raise ValueError(f"vertex {x} out of range")
+        if self._dist_lists is not None:
+            return self._dist_lists[x]
+        return _bfs_row(self.neighbor_masks, x)
 
     def ball_masks(self) -> tuple[tuple[int, ...], ...]:
         """Metric balls as bitmasks: ball_masks()[v][r] holds the vertices
@@ -211,19 +224,19 @@ class DigitalImage:
         return self._balls
 
     def dist(self, i: int, j: int) -> int:
-        return int(self.metric_matrix()[i, j])
+        return self.dist_lists()[i][j]
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return int(self.metric_matrix()[0].max()) < INF
+        """Every vertex is reachable from vertex 0: one breadth-first row,
+        so the test never builds the full table."""
+        return self.n <= 1 or INF not in self.dist_row(0)
 
     def diameter_value(self) -> int:
         if self.n == 0:
             raise Disconnected("diameter of an empty image is undefined")
         if not self.is_connected():
             raise Disconnected("diameter requires a connected image")
-        return int(self.metric_matrix().max(initial=0))
+        return max(max(row) for row in self.dist_lists())
 
     # -- identity ----------------------------------------------------------
 
@@ -566,24 +579,35 @@ def induced(img: DigitalImage, mask: SubsetMask) -> tuple[DigitalImage, tuple[in
 # -- metric and queries ----------------------------------------------------
 
 
-def _all_pairs_distances(img: DigitalImage) -> np.ndarray:
-    n = img.n
-    if n == 1:
-        d = np.zeros((1, 1), dtype=np.uint16)
-        d.flags.writeable = False
-        return d
-    rows, cols = [], []
-    for i in range(n):
-        for j in _bits(img.neighbor_masks[i]):
-            rows.append(i)
-            cols.append(j)
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
-    dist = shortest_path(graph, method="D", unweighted=True, directed=False)
-    out = np.where(np.isinf(dist), INF, dist).astype(np.uint16)
-    out.flags.writeable = False
-    return out
+def _bfs_row(masks: Sequence[int], x: int) -> list[int]:
+    """Breadth-first distances from x over neighbour bitmasks, INF for
+    vertices in other components.
+
+    Each layer is one mask: the union of the previous layer's neighbour
+    masks, less the vertices already seen.  A layer is emptied from its
+    top bit down: bit_length reads that bit directly, where isolating the
+    lowest bit takes a negation and an and over the whole mask, which
+    counts on images of thousands of vertices.
+    """
+    row = [INF] * len(masks)
+    seen = layer = 1 << x
+    d = 0
+    while layer:
+        grown = 0
+        while layer:
+            v = layer.bit_length() - 1
+            row[v] = d
+            grown |= masks[v]
+            layer ^= 1 << v
+        layer = grown & ~seen
+        seen |= layer
+        d += 1
+    return row
+
+
+def _all_pairs_distances(img: DigitalImage) -> list[list[int]]:
+    masks = img.neighbor_masks
+    return [_bfs_row(masks, x) for x in range(img.n)]
 
 
 def metric(img: DigitalImage) -> np.ndarray:
@@ -599,10 +623,10 @@ def metric_ball(img: DigitalImage, x: int, m: int) -> SubsetMask:
     """Mask of vertices within distance m of x."""
     if not 0 <= x < img.n:
         raise ValueError(f"vertex {x} out of range")
-    row = img.metric_matrix()[x]
     out = 0
-    for j in np.flatnonzero(row <= m):
-        out |= 1 << int(j)
+    for j, d in enumerate(img.dist_lists()[x]):
+        if d <= m:
+            out |= 1 << j
     return out
 
 
@@ -666,10 +690,8 @@ def is_k_cover(img: DigitalImage, mask: SubsetMask, k: int) -> bool:
         raise ValueError("cover radius must be nonnegative")
     if mask == 0:
         return img.n == 0
-    ids = mask_indices(mask)
-    dist = img.metric_matrix()
-    best = dist[:, ids].min(axis=1)
-    return bool((best <= k).all())
+    dist = img.dist_lists()
+    return all(min(col) <= k for col in zip(*(dist[a] for a in _bits(mask))))
 
 
 def is_dominating(img: DigitalImage, mask: SubsetMask) -> bool:

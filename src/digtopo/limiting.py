@@ -39,6 +39,7 @@ from .maps import (
     DEFAULT_NODE_BUDGET,
     MapTable,
     SearchOutcome,
+    _check_vertex_cap,
     cycle_indexing,
     run_counterexample_search,
 )
@@ -255,8 +256,10 @@ def limiting_profile(
     """Least n for which the subset is (m, n)-limiting.
 
     Scans n upward; the diameter always succeeds on a connected image, so
-    the scan terminates.
+    the scan terminates.  An image past the vertex cap is refused before
+    its metric is built.
     """
+    _check_vertex_cap("search", max_vertices, img.n)
     if not img.is_connected():
         raise Disconnected("limiting profiles require a connected image")
     top = img.diameter_value()

@@ -9,8 +9,6 @@ metric.  Constant maps are always continuous, so the minimum is attained.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import Disconnected, EmptySubset, NotAnMMap
 from .image import (
     DigitalImage,
@@ -46,9 +44,11 @@ def hausdorff(img: DigitalImage, mask0: SubsetMask, mask1: SubsetMask) -> int:
         raise Disconnected("subset distances require a connected ambient image")
     a = _subset_ids(img, mask0)
     b = _subset_ids(img, mask1)
-    dist = img.metric_matrix()
-    sub = dist[np.ix_(a, b)].astype(np.int64)
-    return int(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
+    rows = [img.dist_row(x) for x in a]
+    return max(
+        max(min(row[y] for y in b) for row in rows),
+        max(min(row[y] for row in rows) for y in b),
+    )
 
 
 def _min_max_displacement(
@@ -65,8 +65,7 @@ def _min_max_displacement(
     dom_img, _ = induced(img, mask_from_indices(dom_ids))
     cod_img, _ = induced(img, mask_from_indices(cod_ids))
     space = _PairSpace(dom_img, cod_img)
-    amb = img.dist_lists()
-    cost = [[amb[a][b] for b in cod_ids] for a in dom_ids]
+    cost = [[row[b] for b in cod_ids] for row in map(img.dist_row, dom_ids)]
     t = min(max(col) for col in zip(*cost)) - 1
     while t >= 0:
         cand = [
@@ -104,8 +103,7 @@ def metric_of_continuity(
 def subset_diameter_ambient(img: DigitalImage, mask: SubsetMask) -> int:
     """Diameter of the subset measured with ambient distances."""
     ids = _subset_ids(img, mask)
-    dist = img.metric_matrix()
-    return int(dist[np.ix_(ids, ids)].max(initial=0))
+    return max(max(row[b] for b in ids) for row in map(img.dist_row, ids))
 
 
 def subset_diameter_induced(img: DigitalImage, mask: SubsetMask) -> int:

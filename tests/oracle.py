@@ -1,7 +1,7 @@
 """Independent oracles for cross-checking the library.
 
 Everything here recomputes results from first principles with none of the
-library's pruning, bitmask, or scipy machinery: plain dict/list BFS,
+library's pruning or bitmask machinery: plain dict/list BFS,
 full |X|^|X| filtering for map spaces, and literal definitions for the
 metric quantities.  Intentionally slow; only meant for tiny inputs.
 

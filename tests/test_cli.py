@@ -238,3 +238,13 @@ def test_module_entry_point(square_files):
     )
     assert proc.returncode == 0
     assert "HOLDS" in proc.stdout
+
+
+def test_import_leaves_numpy_and_scipy_unloaded():
+    code = (
+        "import sys, digtopo, digtopo.cli; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from digtopo.errors import (
@@ -200,18 +200,42 @@ def test_induced_subgraph(square_c1):
     assert sub.edge_list() == [(0, 1), (1, 2)]
 
 
-@given(point_sets)
-@settings(max_examples=40, deadline=None)
-def test_metric_matches_bfs_oracle(pts):
-    img = build_from_points(pts, 1)
-    d = metric(img)
-    expect = oracle.all_distances(img)
-    for i in range(img.n):
-        for j in range(img.n):
-            if expect[i][j] == oracle.INF:
-                assert d[i, j] == INF
-            else:
-                assert d[i, j] == expect[i][j]
+def _explicit_images(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=2 * n,
+        ).map(lambda edges: build_explicit(n, edges))
+    )
+
+
+# c1 and c2 point sets, explicit images and products of two small images,
+# connected or not
+metric_inputs = st.one_of(
+    point_sets.map(lambda pts: build_from_points(pts, 1)),
+    point_sets.map(lambda pts: build_from_points(pts, 2)),
+    _explicit_images(8),
+    st.tuples(_explicit_images(4), _explicit_images(4), st.integers(1, 2)).map(
+        lambda t: product(t[:2], t[2])
+    ),
+)
+
+
+@given(metric_inputs)
+@example(build_explicit(5, [(0, 1), (1, 2), (3, 4)]))
+@settings(max_examples=120, deadline=None)
+def test_metric_matches_bfs_oracle(img):
+    expect = [
+        [INF if d == oracle.INF else d for d in row] for row in oracle.all_distances(img)
+    ]
+    # a row before the table exists is a single-source search; after, a read
+    assert [img.dist_row(x) for x in range(img.n)] == expect
+    assert img._dist_lists is None
+    assert img.dist_lists() == expect
+    assert [img.dist_row(x) for x in range(img.n)] == expect
+    assert metric(img).tolist() == expect
 
 
 def test_metric_readonly(path3):

@@ -238,6 +238,14 @@ def test_profile_budget(square_c2, corners_c2):
         limiting_profile(square_c2, corners_c2, 0, node_budget=1)
 
 
+def test_profile_refuses_past_the_vertex_cap_before_building_the_metric():
+    img = build_box([(0, 63), (0, 63)], 2)
+    corner = mask_from_points(img, [(0, 0)])
+    with pytest.raises(BudgetExceeded, match="4096 vertices"):
+        limiting_profile(img, corner, 0)
+    assert img._dist_lists is None
+
+
 # -- cycle bounds ----------------------------------------------------------
 
 

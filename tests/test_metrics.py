@@ -37,6 +37,16 @@ def _nonempty_masks(n):
     return st.integers(1, (1 << n) - 1)
 
 
+def test_subset_distances_read_only_the_subset_rows():
+    img = build_box([(0, 63), (0, 63)], 2)
+    a = mask_from_points(img, [(0, 0), (5, 7), (30, 2)])
+    b = mask_from_points(img, [(1, 1), (60, 60), (31, 3)])
+    assert hausdorff(img, a, b) == 55
+    assert metric_of_continuity(img, a, b) == 55
+    assert subset_diameter_ambient(img, a) == 30
+    assert img._dist_lists is None
+
+
 def test_hausdorff_fixtures(square_c1):
     allm = full_mask(square_c1)
     top2 = mask_from_points(square_c1, [(x, y) for x in range(3) for y in (1, 2)])
