@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import fileio, limiting, maps, metrics
-from .errors import BudgetExceeded, DigitalTopologyError, Unclassifiable
+from .errors import BudgetExceeded, DigitalTopologyError
 from .image import build_cycle, mask_indices
 from .maps import MapTable
 
@@ -38,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgError(message)
 
 
+def _budget(text: str) -> int:
+    """A budget argument: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be nonnegative, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it
@@ -46,13 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit one JSON report")
     common.add_argument(
         "--budget-nodes",
-        type=int,
+        type=_budget,
         default=maps.DEFAULT_NODE_BUDGET,
         help="cap on attempted assignments in searches",
     )
     common.add_argument(
         "--budget-maps",
-        type=int,
+        type=_budget,
         default=maps.DEFAULT_MAX_VISITED,
         help="cap on maps enumerated or visited",
     )
@@ -230,18 +241,8 @@ def _profile(args) -> _Report:
 
 def _classify(args) -> _Report:
     img, _ = build_cycle(args.v)
-    counts = {maps.NONSURJECTIVE: 0, maps.ROTATION: 0, maps.FLIP_ROTATION: 0}
-    total = unclassified = 0
-    for f in maps.enumerate_continuous_self_maps(img):
-        total += 1
-        if total > args.budget_maps:
-            raise BudgetExceeded(
-                f"classification stopped after {args.budget_maps} maps"
-            )
-        try:
-            counts[maps.classify_cycle_map(img, f).kind] += 1
-        except Unclassifiable:
-            unclassified += 1
+    census = maps.cycle_map_census(img, max_maps=args.budget_maps)
+    counts, unclassified, total = census.counts, census.unclassified, census.total
     lines = [f"  {kind}: {c}" for kind, c in counts.items()]
     if unclassified:
         lines.append(f"  UNCLASSIFIED: {unclassified}")

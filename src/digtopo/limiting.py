@@ -190,12 +190,14 @@ def find_minimal_limiting_sets(
     witness would refute it), so L is searched and found.  The sets are
     therefore exactly those of a scan that searches every subset.
 
-    nodes counts only the searches that ran, and node_budget caps their
-    total.  On a complete result, searched + skipped is the number of
+    nodes counts only the searches that ran, and node_budget, which must
+    be nonnegative, caps their total.  On a complete result, searched + skipped is the number of
     subsets with at most size_cap vertices.
     """
     if size_cap < 0:
         raise ValueError("size cap must be nonnegative")
+    if node_budget < 0:
+        raise ValueError("node budget must be nonnegative")
     found: list[SubsetMask] = []
     refuted: list[SubsetMask] = []  # maximal S_f masks of the witnesses
     nodes = searched = skipped = 0

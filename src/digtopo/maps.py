@@ -16,10 +16,11 @@ is the first in search order.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -228,41 +229,56 @@ def _assignments(
     value in viol[x] are yielded, and branches that can no longer do so
     are cut.  nodes[0], when given, counts attempted assignments; the
     attempt after the cap-th raises _CapHit.
+
+    The depth-first walk keeps an explicit stack: depth p owns a
+    candidate list, a violation flag and an iterator over the values of
+    order[p].  A value that survives forward checking writes the cut
+    candidates of every later vertex into the next depth's list, and
+    only those entries are read below it, so no list is copied.
     """
     dist = space.dist_dom
     ball = space.ball
-    assign = [0] * space.dom.n
+    n = space.dom.n
+    order = list(order)
+    last = len(order) - 1
+    assign = [0] * n
     tally = [0] if nodes is None else nodes
-
-    def rec(pos: int, cand: list[int], violated: bool) -> Iterator[tuple[int, ...]]:
-        if pos == len(order):
-            yield tuple(assign)
-            return
-        x = order[pos]
-        rest = order[pos + 1 :]
+    if last < 0:
+        yield tuple(assign)
+        return
+    rests = [order[p + 1 :] for p in range(last + 1)]
+    cands = [list(cand)] + [[0] * n for _ in range(last)]
+    # without viol every assignment counts as violating, so none is cut
+    vios = [viol is None] + [False] * last
+    values = [_bits(cand[order[0]])] + [None] * last
+    pos = 0
+    while pos >= 0:
+        x, rest, cur, violated = order[pos], rests[pos], cands[pos], vios[pos]
         dx = dist[x]
-        for v in _bits(cand[x]):
+        nc = cands[pos + 1] if pos < last else cur
+        for v in values[pos]:
             tally[0] += 1
             if tally[0] > cap:
                 raise _CapHit
             assign[x] = v
-            vio = violated or bool(viol[x] >> v & 1)
-            nc = list(cand)
-            ok = True
+            vio = violated or viol[x] >> v & 1
             for y in rest:
-                ny = nc[y] & ball(v, dx[y])
+                ny = cur[y] & ball(v, dx[y])
                 if not ny:
-                    ok = False
                     break
                 nc[y] = ny
-            if not ok:
-                continue
-            if not vio and not any(nc[y] & viol[y] for y in rest):
-                continue
-            yield from rec(pos + 1, nc, vio)
-
-    # without viol every assignment counts as violating, so none is cut
-    return rec(0, list(cand), viol is None)
+            else:
+                if not vio and not any(nc[y] & viol[y] for y in rest):
+                    continue
+                if pos == last:
+                    yield tuple(assign)
+                    continue
+                pos += 1
+                vios[pos] = vio
+                values[pos] = _bits(nc[order[pos]])
+                break
+        else:
+            pos -= 1
 
 
 @dataclass
@@ -346,7 +362,10 @@ def run_counterexample_search(
     depth-first pass that stops at the first witness or once node_budget
     assignments have been tried.  threads is accepted and ignored: the
     search is single-threaded, since Python threads gave no speedup on it.
+    A negative node_budget raises ValueError.
     """
+    if node_budget < 0:
+        raise ValueError("node budget must be nonnegative")
     nodes = [0]
     tables = _counterexample_tables(img, subset, m, n, max_vertices, nodes, node_budget)
     try:
@@ -548,47 +567,99 @@ def _walk_cycle(img: DigitalImage) -> tuple[int, ...]:
     return tuple(order)
 
 
-def rotation(img: DigitalImage, d: int) -> MapTable:
-    """Rotation by d positions along the derived circular indexing."""
-    idx = cycle_indexing(img)
-    v = img.n
+def _position_table(idx: tuple[int, ...], d: int, step: int) -> tuple[int, ...]:
+    """Table of the automorphism sending position i to position d + step*i
+    of the circular indexing idx."""
+    v = len(idx)
     table = [0] * v
     for i in range(v):
-        table[idx[i]] = idx[(i + d) % v]
-    return MapTable(img, img, tuple(table))
+        table[idx[i]] = idx[(d + step * i) % v]
+    return tuple(table)
+
+
+def rotation(img: DigitalImage, d: int) -> MapTable:
+    """Rotation by d positions along the derived circular indexing."""
+    return MapTable(img, img, _position_table(cycle_indexing(img), d, 1))
 
 
 def flip_map(img: DigitalImage) -> MapTable:
     """Reflection fixing position 0: position i goes to -i."""
-    idx = cycle_indexing(img)
-    v = img.n
-    table = [0] * v
-    for i in range(v):
-        table[idx[i]] = idx[(-i) % v]
-    return MapTable(img, img, tuple(table))
+    return MapTable(img, img, _position_table(cycle_indexing(img), 0, -1))
+
+
+_NONSURJECTIVE = CycleMapClass(NONSURJECTIVE)
+
+
+@functools.lru_cache(maxsize=64)
+def _automorphisms(idx: tuple[int, ...]) -> dict[tuple[int, ...], CycleMapClass]:
+    """Class of each of the 2v automorphism tables of the cycle walked by
+    idx: the rotations and the flipped rotations by every d."""
+    out = {}
+    for d in range(len(idx)):
+        out[_position_table(idx, d, 1)] = CycleMapClass(ROTATION, d)
+        out[_position_table(idx, d, -1)] = CycleMapClass(FLIP_ROTATION, d)
+    return out
+
+
+def _classify_table(
+    table: tuple[int, ...], autos: dict[tuple[int, ...], CycleMapClass]
+) -> CycleMapClass:
+    """Class of a continuous self-map table of a cycle, given the cycle's
+    automorphism tables.
+
+    Surjective continuous self-maps of a cycle are exactly its graph
+    automorphisms, so every such table is nonsurjective or one of autos;
+    anything else raises Unclassifiable.
+    """
+    if len(set(table)) < len(table):
+        return _NONSURJECTIVE
+    cls = autos.get(table)
+    if cls is None:
+        raise Unclassifiable("surjective cycle self-map is not an automorphism")
+    return cls
 
 
 def classify_cycle_map(img: DigitalImage, f: MapTable) -> CycleMapClass:
-    """Classify a continuous cycle self-map.
-
-    Surjective continuous self-maps of a cycle are exactly its graph
-    automorphisms, so every map is nonsurjective, a rotation, or a flipped
-    rotation; anything else raises Unclassifiable.
-    """
-    idx = cycle_indexing(img)
+    """Classify a continuous cycle self-map: nonsurjective, a rotation, or
+    a flipped rotation; anything else raises Unclassifiable."""
+    autos = _automorphisms(cycle_indexing(img))
     if f.domain != img or f.codomain != img:
         raise DomainMismatch("map is not a self-map of the given cycle")
     if not is_continuous(f):
         raise ValueError("cycle classification applies to continuous maps")
-    v, t = img.n, f.table
-    if len(set(t)) < v:
-        return CycleMapClass(NONSURJECTIVE)
-    a = idx.index(t[idx[0]])
-    nxt = idx.index(t[idx[1]])
-    if nxt == (a + 1) % v:
-        if all(t[idx[i]] == idx[(a + i) % v] for i in range(v)):
-            return CycleMapClass(ROTATION, a)
-    elif nxt == (a - 1) % v:
-        if all(t[idx[i]] == idx[(a - i) % v] for i in range(v)):
-            return CycleMapClass(FLIP_ROTATION, a)
-    raise Unclassifiable("surjective cycle self-map is not an automorphism")
+    return _classify_table(f.table, autos)
+
+
+class CycleCensus(NamedTuple):
+    """Continuous self-maps of a cycle counted by class kind; maps that
+    fit no class are counted as unclassified."""
+
+    counts: dict[str, int]
+    unclassified: int
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values()) + self.unclassified
+
+
+def cycle_map_census(img: DigitalImage, *, max_maps: int) -> CycleCensus:
+    """Classify every continuous self-map of a cycle image.
+
+    The maps come from continuous_maps_between, whose forward checking
+    admits only continuous tables, so each is classified without the
+    continuity check that classify_cycle_map makes on a map it is handed.
+    Raises BudgetExceeded when the map after the max_maps-th arrives.
+    """
+    if max_maps < 0:
+        raise ValueError("max_maps must be nonnegative")
+    autos = _automorphisms(cycle_indexing(img))
+    counts = dict.fromkeys((NONSURJECTIVE, ROTATION, FLIP_ROTATION), 0)
+    unclassified = 0
+    for total, f in enumerate(continuous_maps_between(img, img), 1):
+        if total > max_maps:
+            raise BudgetExceeded(f"classification stopped after {max_maps} maps")
+        try:
+            counts[_classify_table(f.table, autos).kind] += 1
+        except Unclassifiable:
+            unclassified += 1
+    return CycleCensus(counts, unclassified)

@@ -190,6 +190,27 @@ def test_classify_budget(capsys):
     capsys.readouterr()
 
 
+def test_negative_budgets_are_usage_errors(square_files, capsys):
+    img, corners = square_files
+    for argv in (
+        ["verify-freezing", "--image", img, "--set", corners, "--budget-nodes", "-1"],
+        ["find-minimal", "--image", img, "--m", "0", "--n", "0", "--size-cap", "1",
+         "--budget-nodes", "-3"],
+        ["classify-cycle-maps", "--v", "6", "--budget-maps", "-1"],
+        ["classify-cycle-maps", "--v", "6", "--budget-maps", "x"],
+    ):
+        assert run(argv + ["--json"]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument --budget-"), captured.err
+    # zero budgets still run and report their budget outcome
+    assert run(["verify-freezing", "--image", img, "--set", corners,
+                "--budget-nodes", "0", "--json"]) == 2
+    assert _json_out(capsys)["nodes"] == 0
+    assert run(["classify-cycle-maps", "--v", "6", "--budget-maps", "0"]) == 2
+    assert "stopped after 0 maps" in capsys.readouterr().err
+
+
 def test_rigidity(write_json, capsys):
     img = write_json(
         "pt.json", {"constructor": "box", "intervals": [[0, 0]], "adjacency": "c1"}

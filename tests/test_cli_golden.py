@@ -129,3 +129,15 @@ def test_json_bytes_and_exit_code(golden_dir, capsys, case):
 def test_human_output_with_timings_masked(golden_dir, capsys, case):
     code = run(CASES[case])
     assert (code, _mask_ms(capsys.readouterr().out)) == GOLDEN_HUMAN[case]
+
+
+def test_classify_budget_boundary_is_exact(capsys):
+    """A map budget of exactly the census size gives the golden report;
+    one map less leaves the census unknown."""
+    argv = ["classify-cycle-maps", "--v", "6", "--json"]
+    assert (run(argv + ["--budget-maps", "858"]), capsys.readouterr().out) == \
+        GOLDEN_JSON["classify"]
+    assert run(argv + ["--budget-maps", "857"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unknown: classification stopped after 857 maps\n"

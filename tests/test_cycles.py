@@ -5,15 +5,18 @@ from __future__ import annotations
 import pytest
 
 import oracle
-from digtopo.errors import NotACycle, Unclassifiable
+from digtopo import maps
+from digtopo.errors import BudgetExceeded, NotACycle, Unclassifiable
 from digtopo.image import build_box, build_cycle, cycle_grid, metric
 from digtopo.maps import (
+    CycleMapClass,
     FLIP_ROTATION,
     NONSURJECTIVE,
     ROTATION,
     MapTable,
     classify_cycle_map,
     cycle_indexing,
+    cycle_map_census,
     displacement,
     enumerate_continuous_self_maps,
     flip_map,
@@ -34,19 +37,52 @@ CENSUS = {
 }
 
 
-@pytest.mark.parametrize("v", sorted(CENSUS))
+@pytest.mark.parametrize("v", range(4, 11))
 def test_census(v):
+    """The census agrees with classifying every map one at a time and with
+    the frozen counts.  For v <= 8 each enumerated map is also checked
+    continuous: the census skips that check because the enumeration
+    implies it."""
     img, _ = build_cycle(v)
-    total, nonsurj = CENSUS[v]
     counts = {NONSURJECTIVE: 0, ROTATION: 0, FLIP_ROTATION: 0}
     seen = 0
     for f in enumerate_continuous_self_maps(img):
         seen += 1
+        if v <= 8:
+            assert is_continuous(f)
         counts[classify_cycle_map(img, f).kind] += 1
-    assert seen == total
-    assert counts[NONSURJECTIVE] == nonsurj
+    census = cycle_map_census(img, max_maps=seen)
+    assert (census.counts, census.unclassified, census.total) == (counts, 0, seen)
     assert counts[ROTATION] == v
     assert counts[FLIP_ROTATION] == v
+    if v in CENSUS:
+        assert (seen, counts[NONSURJECTIVE]) == CENSUS[v]
+    else:
+        assert seen == oracle.cycle_closed_walk_count(v)
+
+
+def test_surjective_non_automorphism_is_unclassifiable(cycle8):
+    """The table classifier shared by classify_cycle_map and the census
+    refuses a surjective table that is no rotation or flip."""
+    autos = maps._automorphisms(cycle_indexing(cycle8))
+    assert len(autos) == 16
+    swap = (1, 0) + tuple(range(2, 8))
+    with pytest.raises(Unclassifiable):
+        maps._classify_table(swap, autos)
+    assert maps._classify_table(identity(cycle8).table, autos) == CycleMapClass(ROTATION, 0)
+
+
+def test_census_budget_and_arguments(path3):
+    img, _ = build_cycle(6)
+    assert cycle_map_census(img, max_maps=858).total == 858
+    with pytest.raises(BudgetExceeded, match="after 857 maps"):
+        cycle_map_census(img, max_maps=857)
+    with pytest.raises(BudgetExceeded, match="after 0 maps"):
+        cycle_map_census(img, max_maps=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cycle_map_census(img, max_maps=-1)
+    with pytest.raises(NotACycle):
+        cycle_map_census(path3, max_maps=100)
 
 
 def test_rotation_displacement():

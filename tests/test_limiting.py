@@ -179,6 +179,16 @@ def test_find_minimal_budget_caps_searches_that_run(cycle8):
     assert cut.nodes == full.nodes - 1
 
 
+def test_negative_budget_is_refused_by_every_search_entry(cycle8):
+    subset = mask_from_indices([0, 3, 5])
+    with pytest.raises(ValueError, match="nonnegative"):
+        find_minimal_limiting_sets(cycle8, 0, 0, 3, node_budget=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        is_limiting(cycle8, subset, 0, 0, node_budget=-1)
+    zero = find_minimal_limiting_sets(cycle8, 0, 0, 3, node_budget=0)
+    assert (zero.complete, zero.nodes, zero.sets) == (False, 0, [])
+
+
 def _minimal_sets_by_plain_scan(img, m, n, cap):
     """Every subset up to the cap decided by its own search; a limiting
     subset is minimal when no single deletion limits."""

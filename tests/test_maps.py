@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from digtopo import maps
 from digtopo.errors import BudgetExceeded, Disconnected, DomainMismatch
 from digtopo.image import (
     build_box,
@@ -218,6 +219,24 @@ def test_maps_between_oracle(seg, path3):
     assert found == oracle.continuous_maps_between(path3, seg)
 
 
+def test_enumeration_is_in_strict_lexicographic_order(seg, path3):
+    """Both enumerators yield exactly the oracle's tables, sorted, so a
+    kernel that found the right maps in another order fails here."""
+    images = [
+        build_explicit(n, edges)
+        for n in range(1, 5)
+        for edges in oracle.connected_graphs(n)
+    ]
+    images += [build_cycle(v)[0] for v in range(4, 8)] + [build_box([(0, 0)], 1)]
+    for img in images:
+        want = sorted(oracle.continuous_self_maps(img))
+        assert [f.table for f in enumerate_continuous_self_maps(img)] == want
+        assert [f.table for f in continuous_maps_between(img, img)] == want
+    for dom, cod in ((seg, path3), (path3, seg)):
+        got = [f.table for f in continuous_maps_between(dom, cod)]
+        assert got == sorted(oracle.continuous_maps_between(dom, cod))
+
+
 @pytest.mark.parametrize(
     "build, lengths",
     [
@@ -287,6 +306,17 @@ def test_search_node_budget(square_c2, corners_c2):
         search_counterexample(square_c2, corners_c2, 0, 0, node_budget=1)
 
 
+def test_negative_node_budget_is_refused(square_c2, corners_c2):
+    for budget in (-1, -3):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_counterexample_search(square_c2, corners_c2, 0, 0, node_budget=budget)
+        with pytest.raises(ValueError, match="nonnegative"):
+            search_counterexample(square_c2, corners_c2, 0, 0, node_budget=budget)
+    # a budget of 0 stays a budget outcome after no node
+    out = run_counterexample_search(square_c2, corners_c2, 0, 0, node_budget=0)
+    assert (out.status, out.witness, out.nodes) == ("budget", None, 0)
+
+
 def test_node_budget_boundary_is_exact(square_c1, square_c2, cycle8):
     """A budget of exactly the nodes a search needs decides it the same
     way; one node less leaves it undecided."""
@@ -331,7 +361,20 @@ def test_negative_bounds_are_refused_by_every_search_entry_point(square_c1):
         with pytest.raises(ValueError):
             run_counterexample_search(square_c1, corners, m, n)
         with pytest.raises(ValueError):
-            list(iter_counterexamples(square_c1, corners, m, n))
+            iter_counterexamples(square_c1, corners, m, n)
+
+
+def test_kernel_runs_nothing_before_the_first_table(square_c2):
+    """Queries are validated when the kernel is built, but the kernel
+    itself is lazy: building it counts no node, so a cap of 0 is hit
+    only on the first next()."""
+    space = maps._PairSpace(square_c2, square_c2)
+    nodes = [0]
+    tables = maps._assignments(space, range(9), [space.full] * 9, nodes=nodes, cap=0)
+    assert nodes == [0]
+    with pytest.raises(maps._CapHit):
+        next(tables)
+    assert nodes == [1]
 
 
 # -- homotopy --------------------------------------------------------------
