@@ -36,6 +36,13 @@ def cu_adjacent(p, q, u: int) -> bool:
     return diffs <= u and all(abs(a - b) <= 1 for a, b in zip(p, q))
 
 
+def np_adjacent(factor_adj: list[list[set[int]]], s, t, u: int) -> bool:
+    """Literal normal product NP_u rule on factor-vertex tuples: between 1
+    and u coordinates differ, each along an edge of its factor."""
+    moved = [j for j, (a, b) in enumerate(zip(s, t)) if a != b]
+    return 1 <= len(moved) <= u and all(t[j] in factor_adj[j][s[j]] for j in moved)
+
+
 def bfs_distances(adj: list[set[int]], start: int) -> list[float]:
     dist = [INF] * len(adj)
     dist[start] = 0

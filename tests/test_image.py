@@ -187,6 +187,69 @@ def test_product_concatenates_grid_coords():
     assert prod.factors is not None
 
 
+@st.composite
+def product_factors(draw):
+    """1-4 small factors: c1/c2 boxes, cycles and explicit graphs, the
+    last possibly disconnected; fewer vertices per factor as the count
+    grows, so the pairwise check stays small."""
+    k = draw(st.integers(1, 4))
+    top = {1: 6, 2: 5, 3: 4, 4: 3}[k]
+    boxes = st.one_of(
+        st.integers(1, top).map(lambda w: build_box([(0, w - 1)], 1)),
+        st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2))
+        .filter(lambda t: t[0] * t[1] <= top)
+        .map(lambda t: build_box([(0, t[0] - 1), (-1, t[1] - 2)], t[2])),
+    )
+    cycles = st.integers(4, max(4, top)).map(lambda v: build_cycle(v)[0])
+    kinds = [boxes, _explicit_images(top)] + ([cycles] if top >= 4 else [])
+    return draw(st.lists(st.one_of(kinds), min_size=k, max_size=k))
+
+
+@given(product_factors())
+@example([build_explicit(3, [(0, 2)]), build_box([(0, 1)], 1)])
+@settings(max_examples=80, deadline=None)
+def test_product_matches_pairwise_np_rule(factors):
+    adj = [oracle.adjacency_sets(f) for f in factors]
+    tuples = tuple(itertools.product(*(range(f.n) for f in factors)))
+    all_grid = all(f.is_grid for f in factors)
+    for u in range(1, len(factors) + 1):
+        prod = product(factors, u)
+        assert prod.factor_tuples == tuples
+        assert prod.factors == tuple(factors)
+        assert prod.adjacency.label() == (
+            f"np{u}(" + ",".join(f.adjacency.label() for f in factors) + ")"
+        )
+        if all_grid:
+            assert prod.points == tuple(
+                tuple(c for f, x in zip(factors, t) for c in f.points[x]) for t in tuples
+            )
+            assert prod.dim == sum(f.dim for f in factors)
+        else:
+            assert prod.points is None and prod.dim == 0
+        for i, s in enumerate(tuples):
+            expect = sum(
+                1 << j for j, t in enumerate(tuples) if oracle.np_adjacent(adj, s, t, u)
+            )
+            assert prod.neighbor_masks[i] == expect, (s, u)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-2, 1), st.integers(1, 3)).map(lambda t: (t[0], t[0] + t[1] - 1)),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_product_of_paths_is_the_cu_box(intervals):
+    paths = [build_box([iv], 1) for iv in intervals]
+    for u in range(1, len(intervals) + 1):
+        prod = product(paths, u)
+        box = build_box(intervals, u)
+        assert prod.points == box.points
+        assert prod.neighbor_masks == box.neighbor_masks
+
+
 def test_product_needs_factors():
     with pytest.raises(ValueError):
         product([], 1)
