@@ -164,9 +164,7 @@ def _verify(args, m: int, n: int) -> _Report:
     img = fileio.load_image(args.image)
     subset = fileio.load_subset(args.subset, img)
     check = limiting.is_minimal_limiting if args.minimal else limiting.is_limiting
-    v = check(
-        img, subset, m, n, node_budget=args.budget_nodes, threads=args.threads
-    )
+    v = check(img, subset, m, n, node_budget=args.budget_nodes)
     fields = {
         "holds": v.holds,
         "nodes": v.nodes,
@@ -193,12 +191,7 @@ def _verify(args, m: int, n: int) -> _Report:
 def _find_minimal(args) -> _Report:
     img = fileio.load_image(args.image)
     res = limiting.find_minimal_limiting_sets(
-        img,
-        args.m,
-        args.n,
-        args.size_cap,
-        node_budget=args.budget_nodes,
-        threads=args.threads,
+        img, args.m, args.n, args.size_cap, node_budget=args.budget_nodes
     )
     sets = [
         {
@@ -231,9 +224,7 @@ def _find_minimal(args) -> _Report:
 def _profile(args) -> _Report:
     img = fileio.load_image(args.image)
     subset = fileio.load_subset(args.subset, img)
-    n = limiting.limiting_profile(
-        img, subset, args.m, node_budget=args.budget_nodes, threads=args.threads
-    )
+    n = limiting.limiting_profile(img, subset, args.m, node_budget=args.budget_nodes)
     query = {"image": args.image, "set": args.subset, "m": args.m}
     head = f"least n = {n} for m = {args.m}"
     return _Report(EXIT_HOLDS, query, {"profile": n}, head)

@@ -39,6 +39,23 @@ _ADJ_RE = re.compile(r"^c(\d+)$")
 _MALFORMED = (TypeError, ValueError, OverflowError)
 
 
+def _ints(value, field: str, source: str):
+    """The value, once every number, string, boolean or null in it, at any
+    list depth, is a JSON integer; objects are left to the constructors,
+    which name a wrong shape.  Python's int() would truncate 2.5 and read
+    "3" or true, so the file is refused instead."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(reversed(v))
+        elif not isinstance(v, dict) and (isinstance(v, bool) or not isinstance(v, int)):
+            raise InputFileError(
+                f"{source}: field {field!r} holds {json.dumps(v)[:40]}, which is no integer"
+            )
+    return value
+
+
 def _parse_u(value, source: str) -> int:
     if not isinstance(value, str):
         raise InputFileError(f"{source}: field 'adjacency' must be a string like 'c1'")
@@ -55,22 +72,26 @@ def image_from_spec(data: dict, *, source: str = "<image>") -> DigitalImage:
     try:
         ctor = data.get("constructor")
         if ctor == "box":
-            return build_box(data["intervals"], _parse_u(data["adjacency"], source))
+            intervals = _ints(data["intervals"], "intervals", source)
+            return build_box(intervals, _parse_u(data["adjacency"], source))
         if ctor == "cycle":
-            img, _ = build_cycle(int(data["v"]))
+            img, _ = build_cycle(int(_ints(data["v"], "v", source)))
             return img
         if ctor == "explicit":
-            return build_explicit(int(data["n"]), data["edges"])
+            n = int(_ints(data["n"], "n", source))
+            return build_explicit(n, _ints(data["edges"], "edges", source))
         if ctor == "product":
             factors = [
                 image_from_spec(f, source=f"{source}.factors[{i}]")
                 for i, f in enumerate(data["factors"])
             ]
-            return product(factors, int(data["u"]))
+            return product(factors, int(_ints(data["u"], "u", source)))
         if ctor is None and "points" in data:
-            dim = int(data["dim"]) if "dim" in data else None
+            dim = int(_ints(data["dim"], "dim", source)) if "dim" in data else None
             return build_from_points(
-                data["points"], _parse_u(data["adjacency"], source), dim=dim
+                _ints(data["points"], "points", source),
+                _parse_u(data["adjacency"], source),
+                dim=dim,
             )
     except InputFileError:
         raise
@@ -91,9 +112,9 @@ def subset_from_spec(data: dict, img: DigitalImage, *, source: str = "<subset>")
         raise InputFileError(f"{source}: subset description must be a JSON object")
     try:
         if "points" in data:
-            return mask_from_points(img, data["points"])
+            return mask_from_points(img, _ints(data["points"], "points", source))
         if "indices" in data:
-            indices = [int(i) for i in data["indices"]]
+            indices = [int(i) for i in _ints(data["indices"], "indices", source)]
             if any(not 0 <= i < img.n for i in indices):
                 raise InputFileError(f"{source}: field 'indices' out of vertex range")
             return mask_from_indices(indices)
@@ -117,7 +138,7 @@ def map_from_spec(
         cod = dom
     if not isinstance(data, dict) or "table" not in data:
         raise InputFileError(f"{source}: map needs a 'table' field")
-    entries = data["table"]
+    entries = _ints(data["table"], "table", source)
     if not isinstance(entries, list):
         raise InputFileError(f"{source}: field 'table' must be a list")
     try:
@@ -172,7 +193,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or bytes, or an integer too long to read
         raise InputFileError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
         raise InputFileError(f"{path}: JSON nested too deeply") from exc

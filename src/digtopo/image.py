@@ -6,7 +6,8 @@ c_u rule: two points are adjacent when they differ by at most 1 in every
 coordinate, differ in at least one, and differ in at most u.  Abstract images
 carry an explicit edge list.  Products combine factor images under the
 generalized normal product rule: between 1 and u factors step along a factor
-edge while the remaining factors stay fixed.
+edge while the remaining factors stay fixed.  c_u on Z^n is that product of
+c_1 paths, so one per-axis fold builds grids and products alike.
 
 Vertices are canonically ordered: lexicographically by coordinates for grid
 images, in insertion order otherwise.  Subsets are bitmasks over that order,
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadAdjacency,
@@ -332,27 +333,51 @@ def _check_points(points: Sequence[Sequence[int]], dim: int | None) -> tuple[Poi
     return tuple(sorted(out))
 
 
-def _grid_neighbor_masks(points: tuple[Point, ...], dim: int, u: int) -> tuple[int, ...]:
-    """c_u neighbor masks of distinct grid points.
+def _unit_steps(c: int) -> tuple[int, int]:
+    """The grid values one step from c on an axis: the c_1 path."""
+    return c - 1, c + 1
 
-    Per axis, a bitmask of the points at each coordinate value gives the
-    points one step away from p or level with it on that axis; folding the
-    axes in sorts the points within one step on every axis by how many axes
-    they differ from p on.  Those differing on 1..u axes are p's
-    neighbors.  This costs dim * u mask operations per point, never the
-    3^dim offsets of the cube around it.
+
+def _neighbor_masks(
+    tuples: Sequence[tuple[int, ...]],
+    u: int,
+    steps: Sequence[Callable[[int], Iterable[int]]],
+) -> tuple[int, ...]:
+    """Neighbour masks of distinct coordinate tuples under the normal
+    product NP_u of one step relation per axis.
+
+    Tuples s and t are adjacent when they differ on 1..u axes and, on every
+    axis a where they differ, t[a] is among steps[a](s[a]).  Grid points
+    step by _unit_steps on every axis, since c_u on Z^n is NP_u of c_1
+    paths; product vertices step along each factor's edges.
+
+    Per axis, a bitmask of the tuples at each value gives those level with
+    t on that axis, and the union over the values one step away gives those
+    one step off; both are tabled once per value.  Folding the axes in
+    sorts the tuples within one step on every axis by how many axes they
+    differ from t on, and those differing on 1..u axes are t's neighbours.
+    This costs one table lookup and u mask operations per tuple and axis,
+    never a walk over the neighbour combinations around t.
     """
-    at: list[dict[int, int]] = [{} for _ in range(dim)]
-    for i, p in enumerate(points):
-        for col, c in zip(at, p):
+    at: list[dict[int, int]] = [{} for _ in steps]
+    for i, t in enumerate(tuples):
+        for col, c in zip(at, t):
             col[c] = col.get(c, 0) | 1 << i
-    full = (1 << len(points)) - 1
+    table = []
+    for col, near in zip(at, steps):
+        row = {}
+        for c, level in col.items():
+            step = 0
+            for w in near(c):
+                step |= col.get(w, 0)
+            row[c] = (level, step)
+        table.append(row)
+    full = (1 << len(tuples)) - 1
     masks = []
-    for p in points:
+    for t in tuples:
         by_diff = [full] + [0] * u  # by_diff[k]: differ on exactly k axes
-        for a, (col, c) in enumerate(zip(at, p)):
-            level = col[c]
-            step = col.get(c - 1, 0) | col.get(c + 1, 0)
+        for a, (row, c) in enumerate(zip(table, t)):
+            level, step = row[c]
             for k in range(min(u, a + 1), 0, -1):
                 by_diff[k] = by_diff[k] & level | by_diff[k - 1] & step
             by_diff[0] &= level
@@ -363,12 +388,7 @@ def _grid_neighbor_masks(points: tuple[Point, ...], dim: int, u: int) -> tuple[i
     return tuple(masks)
 
 
-def build_box(
-    intervals: Sequence[Sequence[int]],
-    u: int,
-    *,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-) -> DigitalImage:
+def build_box(intervals: Sequence[Sequence[int]], u: int) -> DigitalImage:
     """Full integer box prod([lo_i, hi_i]) under c_u adjacency."""
     if not intervals:
         raise ValueError("a box needs at least one interval")
@@ -387,12 +407,10 @@ def build_box(
             raise ValueError(f"coordinate magnitude exceeds {COORD_LIMIT}")
         parsed.append((lo, hi))
         count *= hi - lo + 1
-        if count > point_budget:
-            raise BudgetExceeded(
-                f"box has more than {point_budget} points"
-            )
+        if count > DEFAULT_POINT_BUDGET:
+            raise BudgetExceeded(f"box has more than {DEFAULT_POINT_BUDGET} points")
     points = tuple(itertools.product(*(range(lo, hi + 1) for lo, hi in parsed)))
-    masks = _grid_neighbor_masks(points, dim, u)
+    masks = _neighbor_masks(points, u, [_unit_steps] * dim)
     return DigitalImage(
         points=points, dim=dim, adjacency=AdjacencyKind.cu(u), neighbor_masks=masks
     )
@@ -403,23 +421,18 @@ def build_from_points(
     u: int,
     *,
     dim: int | None = None,
-    point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> DigitalImage:
-    """Arbitrary grid point set under c_u adjacency.
-
-    Edges are found from per-axis bitmasks of the points at each
-    coordinate value, which matches a direct pairwise application of the
-    c_u rule.
-    """
+    """Arbitrary grid point set under c_u adjacency, found by the same
+    per-axis fold as boxes and products."""
     pts = _check_points(points, dim)
     if not pts:
         raise ValueError("an image needs at least one point")
-    if len(pts) > point_budget:
-        raise BudgetExceeded(f"point set exceeds {point_budget} points")
+    if len(pts) > DEFAULT_POINT_BUDGET:
+        raise BudgetExceeded(f"point set exceeds {DEFAULT_POINT_BUDGET} points")
     d = len(pts[0])
     if not 1 <= u <= d:
         raise BadAdjacency(f"c_u requires 1 <= u <= {d}, got u={u}")
-    masks = _grid_neighbor_masks(pts, d, u)
+    masks = _neighbor_masks(pts, u, [_unit_steps] * d)
     return DigitalImage(
         points=pts, dim=d, adjacency=AdjacencyKind.cu(u), neighbor_masks=masks
     )
@@ -488,17 +501,14 @@ def cycle_grid(v: int) -> tuple[DigitalImage, CycleIndexing]:
     return img, indexing
 
 
-def product(
-    imgs: Sequence[DigitalImage],
-    u: int,
-    *,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-) -> DigitalImage:
+def product(imgs: Sequence[DigitalImage], u: int) -> DigitalImage:
     """Generalized normal product of factor images.
 
     A product vertex is a tuple of factor vertices; two product vertices are
     adjacent when between 1 and u factor coordinates are adjacent in their
-    factor and the remaining coordinates are equal.  When every factor is
+    factor and the remaining coordinates are equal.  Vertices are ordered
+    lexicographically by tuple, and adjacency comes from the grid fold with
+    each factor's edges as its axis's steps.  When every factor is
     grid-embedded the product is embedded with concatenated coordinates.
     """
     k = len(imgs)
@@ -509,27 +519,12 @@ def product(
     count = 1
     for f in imgs:
         count *= f.n
-        if count > point_budget:
-            raise BudgetExceeded(f"product has more than {point_budget} points")
+        if count > DEFAULT_POINT_BUDGET:
+            raise BudgetExceeded(f"product has more than {DEFAULT_POINT_BUDGET} points")
     tuples = tuple(itertools.product(*(range(f.n) for f in imgs)))
-    index = {t: i for i, t in enumerate(tuples)}
-    masks = [0] * len(tuples)
-    positions = list(range(k))
-    subsets = [
-        s
-        for r in range(1, u + 1)
-        for s in itertools.combinations(positions, r)
-    ]
-    for i, t in enumerate(tuples):
-        m = 0
-        for s in subsets:
-            choices = [list(_bits(imgs[j].neighbor_masks[t[j]])) for j in s]
-            for combo in itertools.product(*choices):
-                q = list(t)
-                for j, w in zip(s, combo):
-                    q[j] = w
-                m |= 1 << index[tuple(q)]
-        masks[i] = m
+    masks = _neighbor_masks(
+        tuples, u, [lambda c, m=f.neighbor_masks: _bits(m[c]) for f in imgs]
+    )
     all_grid = all(f.is_grid for f in imgs)
     points = None
     if all_grid:
@@ -542,7 +537,7 @@ def product(
         points=points,
         dim=sum(f.dim for f in imgs) if all_grid else 0,
         adjacency=kind,
-        neighbor_masks=tuple(masks),
+        neighbor_masks=masks,
         factors=tuple(imgs),
         factor_tuples=tuples,
     )
@@ -738,7 +733,7 @@ def apply_grid_isometry(
         tuple(signs[i] * p[axis_perm[i]] + shift[i] for i in range(d))
         for p in img.points
     ]
-    out = build_from_points(moved, img.adjacency.u, point_budget=img.n)
+    out = build_from_points(moved, img.adjacency.u)
     vmap = [out.point_index[q] for q in moved]
     return out, vmap
 

@@ -79,18 +79,11 @@ def is_limiting(
     n: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> LimitingVerdict:
     """Decide whether the subset is (m, n)-limiting."""
     outcome = run_counterexample_search(
-        img,
-        subset,
-        m,
-        n,
-        node_budget=node_budget,
-        threads=threads,
-        max_vertices=max_vertices,
+        img, subset, m, n, node_budget=node_budget, max_vertices=max_vertices
     )
     return _verdict(outcome)
 
@@ -112,7 +105,6 @@ def is_minimal_limiting(
     n: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> LimitingVerdict:
     """The subset is (m, n)-limiting and no single deletion still is.
@@ -120,7 +112,7 @@ def is_minimal_limiting(
     Limitedness is monotone in the subset, so a limiting proper subset is
     always contained in some single deletion; checking deletions suffices.
     """
-    kw = dict(node_budget=node_budget, threads=threads, max_vertices=max_vertices)
+    kw = dict(node_budget=node_budget, max_vertices=max_vertices)
     base = is_limiting(img, subset, m, n, **kw)
     if base.holds is None or base.holds is False:
         return base
@@ -160,7 +152,6 @@ def find_minimal_limiting_sets(
     size_cap: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> MinimalSetResult:
     """All minimal (m, n)-limiting sets with at most size_cap vertices.
@@ -211,13 +202,7 @@ def find_minimal_limiting_sets(
             if remaining <= 0:
                 return MinimalSetResult(found, False, nodes, searched, skipped)
             v = is_limiting(
-                img,
-                mask,
-                m,
-                n,
-                node_budget=remaining,
-                threads=threads,
-                max_vertices=max_vertices,
+                img, mask, m, n, node_budget=remaining, max_vertices=max_vertices
             )
             searched += 1
             nodes += v.nodes
@@ -252,7 +237,6 @@ def limiting_profile(
     m: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> int:
     """Least n for which the subset is (m, n)-limiting.
@@ -267,13 +251,7 @@ def limiting_profile(
     top = img.diameter_value()
     for n in range(top + 1):
         v = is_limiting(
-            img,
-            subset,
-            m,
-            n,
-            node_budget=node_budget,
-            threads=threads,
-            max_vertices=max_vertices,
+            img, subset, m, n, node_budget=node_budget, max_vertices=max_vertices
         )
         if v.holds is None:
             raise BudgetExceeded(
@@ -414,7 +392,6 @@ def factor_limitedness(
     *,
     check_product: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> FactorReport:
     """Verdicts for each factor with the subset projected onto it.
@@ -430,7 +407,7 @@ def factor_limitedness(
             "factor transfer needs the full normal product (u = factor count)"
         )
     check_mask(prod, subset)
-    kw = dict(node_budget=node_budget, threads=threads, max_vertices=max_vertices)
+    kw = dict(node_budget=node_budget, max_vertices=max_vertices)
     product_verdict = None
     if check_product:
         product_verdict = is_limiting(prod, subset, m, n, **kw)

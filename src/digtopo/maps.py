@@ -352,7 +352,6 @@ def run_counterexample_search(
     n: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> SearchOutcome:
     """Search for a continuous self-map whose restriction to the subset
@@ -360,9 +359,8 @@ def run_counterexample_search(
 
     The search assigns vertices breadth-first from the subset, in one
     depth-first pass that stops at the first witness or once node_budget
-    assignments have been tried.  threads is accepted and ignored: the
-    search is single-threaded, since Python threads gave no speedup on it.
-    A negative node_budget raises ValueError.
+    assignments have been tried.  A negative node_budget raises
+    ValueError.
     """
     if node_budget < 0:
         raise ValueError("node budget must be nonnegative")
@@ -384,7 +382,6 @@ def search_counterexample(
     n: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> MapTable | None:
     """First counterexample in search order, None if none exists.
@@ -393,13 +390,7 @@ def search_counterexample(
     was exhausted; that outcome is deliberately distinct from None.
     """
     out = run_counterexample_search(
-        img,
-        subset,
-        m,
-        n,
-        node_budget=node_budget,
-        threads=threads,
-        max_vertices=max_vertices,
+        img, subset, m, n, node_budget=node_budget, max_vertices=max_vertices
     )
     if out.status == "budget":
         raise BudgetExceeded(

@@ -90,7 +90,7 @@ def test_box_rejects_empty_interval():
 
 def test_box_point_budget():
     with pytest.raises(BudgetExceeded):
-        build_box([(0, 99), (0, 99)], 1, point_budget=100)
+        build_box([(0, 99), (0, 99)], 1)
 
 
 def test_explicit_and_cycle_vertex_budget():
@@ -248,6 +248,16 @@ def test_product_of_paths_is_the_cu_box(intervals):
         box = build_box(intervals, u)
         assert prod.points == box.points
         assert prod.neighbor_masks == box.neighbor_masks
+
+
+def test_ten_factor_product_builds_fast():
+    # the product folds like a grid: no walk over neighbour combinations
+    seg = build_box([(0, 1)], 1)
+    start = time.perf_counter()
+    prod = product([seg] * 10, 10)
+    assert time.perf_counter() - start < 1.0
+    # every two vertices differ along factor edges only: the complete graph
+    assert prod.n == 1024 and prod.edge_count == 1024 * 1023 // 2
 
 
 def test_product_needs_factors():

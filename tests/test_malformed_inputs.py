@@ -13,9 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 from digtopo.cli import run
 
 #: JSON literals that no integer field accepts: non-finite or overflowing
-#: numbers, NaN, and values of the wrong type.
+#: numbers, NaN, values of the wrong type, and values int() would truncate
+#: or read as a number: a fraction, a numeric string and a boolean.
 BAD_INT = st.sampled_from(
-    ["1e400", "-1e400", "NaN", "Infinity", "-Infinity", "null", '"x"', "[]", "{}", "[1]"]
+    ["1e400", "-1e400", "NaN", "Infinity", "-Infinity", "null", '"x"', "[]", "{}", "[1]",
+     "2.5", '"3"', "true"]
 )
 
 #: Image files with one integer field replaced by a BAD_INT literal.
@@ -183,6 +185,15 @@ def test_malformed_subset_exits_3(files, text):
     assert code == 3, (text, out, err)
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_integer_too_long_to_read_names_the_file(files):
+    root, _, subset = files
+    path = root / "long_int.json"
+    path.write_text('{"constructor":"cycle","v":1' + "0" * 5000 + "}")
+    code, out, err = _run(["verify-freezing", "--image", str(path), "--set", subset])
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {path}: invalid JSON")
 
 
 @pytest.mark.parametrize("spec", [

@@ -289,10 +289,7 @@ def test_search_agrees_with_oracle_on_small_graphs():
 
 
 def test_search_first_witness_deterministic(square_c2, corners_c2):
-    runs = [
-        run_counterexample_search(square_c2, corners_c2, 1, 1, threads=t)
-        for t in (1, 2, 4)
-    ]
+    runs = [run_counterexample_search(square_c2, corners_c2, 1, 1) for _ in range(3)]
     assert all(r.status == "witness" for r in runs)
     assert len({r.witness.table for r in runs}) == 1
     assert len({r.nodes for r in runs}) == 1
