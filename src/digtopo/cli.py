@@ -5,6 +5,9 @@ is reported), 2 when a budget ran out before a decision, 3 for input
 errors.  With --json each command emits exactly one JSON object with a
 "schema" field; identical invocations produce byte-identical output, so
 timing is reported only in the human-readable form.
+
+Each command is declared once, in COMMANDS, with the flags it takes from
+_FLAGS; any other flag is a usage error.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import fileio, limiting, maps, metrics
 from .errors import BudgetExceeded, DigitalTopologyError
@@ -49,78 +53,30 @@ def _budget(text: str) -> int:
     return value
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it
-    unchanged, so every run() shares it."""
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit one JSON report")
-    common.add_argument(
-        "--budget-nodes",
-        type=_budget,
-        default=maps.DEFAULT_NODE_BUDGET,
-        help="cap on attempted assignments in searches",
-    )
-    common.add_argument(
-        "--budget-maps",
-        type=_budget,
-        default=maps.DEFAULT_MAX_VISITED,
-        help="cap on maps enumerated or visited",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted and ignored; searches run single-threaded",
-    )
+#: add_argument keywords of every flag.  Each dest is the key the flag has
+#: in the JSON query; --s is the n of a (0, s)-limiting query.
+_FLAGS = {
+    "--image": dict(required=True),
+    "--set": dict(required=True),
+    "--set0": dict(required=True),
+    "--set1": dict(required=True),
+    "--m": dict(required=True, type=int),
+    "--n": dict(required=True, type=int),
+    "--s": dict(required=True, type=int, dest="n"),
+    "--size-cap": dict(required=True, type=int),
+    "--v": dict(required=True, type=int),
+    "--minimal": dict(action="store_true", help="also require minimality"),
+    "--budget-nodes": dict(type=_budget, default=maps.DEFAULT_NODE_BUDGET,
+                           help="cap on attempted assignments, over all searches"),
+    "--budget-maps": dict(type=_budget, default=maps.DEFAULT_MAX_VISITED,
+                          help="cap on maps enumerated"),
+    "--json": dict(action="store_true", help="emit one JSON report"),
+    "--threads": dict(type=int, default=1,
+                      help="accepted and ignored; searches run single-threaded"),
+}
 
-    parser = _Parser(prog="digtopo", description="digital image map analysis")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("verify-limiting", parents=[common])
-    p.add_argument("--image", required=True)
-    p.add_argument("--set", required=True, dest="subset")
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--minimal", action="store_true", help="also require minimality")
-
-    p = sub.add_parser("verify-freezing", parents=[common])
-    p.add_argument("--image", required=True)
-    p.add_argument("--set", required=True, dest="subset")
-    p.add_argument("--minimal", action="store_true")
-
-    p = sub.add_parser("verify-cold", parents=[common])
-    p.add_argument("--image", required=True)
-    p.add_argument("--set", required=True, dest="subset")
-    p.add_argument("--s", required=True, type=int)
-    p.add_argument("--minimal", action="store_true")
-
-    p = sub.add_parser("find-minimal", parents=[common])
-    p.add_argument("--image", required=True)
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--size-cap", required=True, type=int)
-
-    p = sub.add_parser("profile", parents=[common])
-    p.add_argument("--image", required=True)
-    p.add_argument("--set", required=True, dest="subset")
-    p.add_argument("--m", required=True, type=int)
-
-    p = sub.add_parser("classify-cycle-maps", parents=[common])
-    p.add_argument("--v", required=True, type=int)
-
-    p = sub.add_parser("rigidity", parents=[common])
-    p.add_argument("--image", required=True)
-
-    p = sub.add_parser("metrics", parents=[common])
-    p.add_argument("--image", required=True)
-    p.add_argument("--set0", required=True)
-    p.add_argument("--set1", required=True)
-
-    p = sub.add_parser("export-dot", parents=[common])
-    p.add_argument("--image", required=True)
-
-    return parser
+#: Flags that steer a command without entering its JSON query.
+_CONTROLS = ("--budget-nodes", "--budget-maps", "--json", "--threads")
 
 
 def _witness_json(f: MapTable) -> dict:
@@ -146,25 +102,24 @@ def _witness_lines(f: MapTable) -> list[str]:
 class _Report:
     """What one command found.
 
-    fields go into the JSON report after schema, command and query (a
-    query of None is left out).  The first human line is the command,
-    then head, then stats and the elapsed time in parentheses; lines
-    follow it.  A head of None prints lines alone, with no timing line.
+    fields go into the JSON report after schema, command and query.  The
+    first human line is the command, then head, then stats and the
+    elapsed time in parentheses; lines follow it.  A head of None prints
+    lines alone, with no timing line.
     """
 
     code: int
-    query: dict | None
     fields: dict
     head: str | None
     stats: list[str] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
 
 
-def _verify(args, m: int, n: int) -> _Report:
+def _verify(args) -> _Report:
     img = fileio.load_image(args.image)
-    subset = fileio.load_subset(args.subset, img)
+    subset = fileio.load_subset(args.set, img)
     check = limiting.is_minimal_limiting if args.minimal else limiting.is_limiting
-    v = check(img, subset, m, n, node_budget=args.budget_nodes)
+    v = check(img, subset, args.m, args.n, node_budget=args.budget_nodes)
     fields = {
         "holds": v.holds,
         "nodes": v.nodes,
@@ -176,16 +131,9 @@ def _verify(args, m: int, n: int) -> _Report:
     if v.subset_witness is not None:
         fields["limiting_proper_subset"] = mask_indices(v.subset_witness)
         lines.append(f"smaller limiting subset: {mask_indices(v.subset_witness)}")
-    query = {
-        "image": args.image,
-        "set": args.subset,
-        "m": m,
-        "n": n,
-        "minimal": args.minimal,
-    }
     code = {True: EXIT_HOLDS, False: EXIT_FAILS, None: EXIT_UNKNOWN}[v.holds]
     word = {True: "HOLDS", False: "FAILS", None: "UNKNOWN"}[v.holds]
-    return _Report(code, query, fields, word, [f"{v.nodes} nodes"], lines)
+    return _Report(code, fields, word, [f"{v.nodes} nodes"], lines)
 
 
 def _find_minimal(args) -> _Report:
@@ -200,34 +148,22 @@ def _find_minimal(args) -> _Report:
         }
         for mask in res.sets
     ]
-    query = {
-        "image": args.image,
-        "m": args.m,
-        "n": args.n,
-        "size_cap": args.size_cap,
-    }
     state = "complete" if res.complete else "INCOMPLETE (budget)"
     return _Report(
         EXIT_HOLDS if res.complete else EXIT_UNKNOWN,
-        query,
         {"sets": sets, "complete": res.complete, "nodes": res.nodes},
         f"{len(res.sets)} minimal sets, {state}",
-        [
-            f"{res.nodes} nodes",
-            f"{res.searched} subsets searched",
-            f"{res.skipped} skipped",
-        ],
+        [f"{res.nodes} nodes", f"{res.searched} subsets searched",
+         f"{res.skipped} skipped"],
         ["  {" + ", ".join(s["labels"]) + "}" for s in sets],
     )
 
 
 def _profile(args) -> _Report:
     img = fileio.load_image(args.image)
-    subset = fileio.load_subset(args.subset, img)
+    subset = fileio.load_subset(args.set, img)
     n = limiting.limiting_profile(img, subset, args.m, node_budget=args.budget_nodes)
-    query = {"image": args.image, "set": args.subset, "m": args.m}
-    head = f"least n = {n} for m = {args.m}"
-    return _Report(EXIT_HOLDS, query, {"profile": n}, head)
+    return _Report(EXIT_HOLDS, {"profile": n}, f"least n = {n} for m = {args.m}")
 
 
 def _classify(args) -> _Report:
@@ -239,7 +175,6 @@ def _classify(args) -> _Report:
         lines.append(f"  UNCLASSIFIED: {unclassified}")
     return _Report(
         EXIT_HOLDS if unclassified == 0 else EXIT_FAILS,
-        {"v": args.v},
         {"total": total, "counts": counts, "unclassified": unclassified},
         f"v={args.v}, {total} continuous self-maps",
         lines=lines,
@@ -251,7 +186,6 @@ def _rigidity(args) -> _Report:
     rigid = maps.is_rigid(fileio.load_image(args.image))
     return _Report(
         EXIT_HOLDS if rigid else EXIT_FAILS,
-        {"image": args.image},
         {"rigid": rigid, "only_identity_is_1map": rigid},
         "RIGID" if rigid else "NOT RIGID",
         lines=[f"  only identity is a 1-map: {rigid}"],
@@ -264,35 +198,65 @@ def _metrics(args) -> _Report:
     m1 = fileio.load_subset(args.set1, img)
     h = metrics.hausdorff(img, m0, m1)
     d = metrics.metric_of_continuity(img, m0, m1)
-    query = {"image": args.image, "set0": args.set0, "set1": args.set1}
-    fields = {"hausdorff": h, "delta": d}
-    return _Report(EXIT_HOLDS, query, fields, f"hausdorff={h} delta={d}")
+    return _Report(EXIT_HOLDS, {"hausdorff": h, "delta": d}, f"hausdorff={h} delta={d}")
 
 
 def _export_dot(args) -> _Report:
     dot = fileio.to_dot(fileio.load_image(args.image))
-    return _Report(EXIT_HOLDS, None, {"dot": dot}, None, lines=dot.splitlines())
+    return _Report(EXIT_HOLDS, {"dot": dot}, None, lines=dot.splitlines())
+
+
+class _Command(NamedTuple):
+    """A command's handler, the flags it takes besides --json and
+    --threads, and the query values it fixes.  Its JSON query echoes those
+    values and every flag not in _CONTROLS; an echo of False leaves the
+    query out."""
+
+    handler: Callable[[argparse.Namespace], _Report]
+    flags: str
+    fixed: dict = {}
+    echo: bool = True
 
 
 COMMANDS = {
-    "verify-limiting": lambda args: _verify(args, args.m, args.n),
-    "verify-freezing": lambda args: _verify(args, 0, 0),
-    "verify-cold": lambda args: _verify(args, 0, args.s),
-    "find-minimal": _find_minimal,
-    "profile": _profile,
-    "classify-cycle-maps": _classify,
-    "rigidity": _rigidity,
-    "metrics": _metrics,
-    "export-dot": _export_dot,
+    "verify-limiting": _Command(_verify, "--image --set --m --n --minimal --budget-nodes"),
+    "verify-freezing": _Command(
+        _verify, "--image --set --minimal --budget-nodes", {"m": 0, "n": 0}
+    ),
+    "verify-cold": _Command(_verify, "--image --set --s --minimal --budget-nodes", {"m": 0}),
+    "find-minimal": _Command(_find_minimal, "--image --m --n --size-cap --budget-nodes"),
+    "profile": _Command(_profile, "--image --set --m --budget-nodes"),
+    "classify-cycle-maps": _Command(_classify, "--v --budget-maps"),
+    "rigidity": _Command(_rigidity, "--image"),
+    "metrics": _Command(_metrics, "--image --set0 --set1"),
+    "export-dot": _Command(_export_dot, "--image", echo=False),
 }
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process from COMMANDS and
+    _FLAGS; parsing leaves it unchanged, so every run() shares it.  Each
+    subparser records the dests of its query as its query default."""
+    parser = _Parser(prog="digtopo", description="digital image map analysis")
+    sub = parser.add_subparsers(dest="command")
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name)
+        query = list(cmd.fixed)
+        for flag in cmd.flags.split() + ["--json", "--threads"]:
+            action = p.add_argument(flag, **_FLAGS[flag])
+            if flag not in _CONTROLS:
+                query.append(action.dest)
+        p.set_defaults(query=tuple(query) if cmd.echo else (), **cmd.fixed)
+    return parser
 
 
 def _emit(args, r: _Report, started: float) -> int:
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     if args.json:
         report = {"schema": SCHEMA, "command": args.command}
-        if r.query is not None:
-            report["query"] = r.query
+        if args.query:
+            report["query"] = {key: getattr(args, key) for key in args.query}
         report.update(r.fields)
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
@@ -312,7 +276,7 @@ def run(argv: list[str]) -> int:
         if args.command is None:
             raise _ArgError("a command is required")
         started = time.perf_counter()
-        return _emit(args, COMMANDS[args.command](args), started)
+        return _emit(args, COMMANDS[args.command].handler(args), started)
     except _ArgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

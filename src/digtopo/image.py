@@ -93,7 +93,6 @@ class DigitalImage:
         "point_index",
         "factors",
         "factor_tuples",
-        "_dist",
         "_dist_lists",
         "_balls",
         "_edges",
@@ -121,7 +120,6 @@ class DigitalImage:
         )
         self.factors = factors
         self.factor_tuples = factor_tuples
-        self._dist = None
         self._dist_lists = None
         self._balls = None
         self._edges = None
@@ -169,20 +167,6 @@ class DigitalImage:
 
     # -- metric ------------------------------------------------------------
 
-    def metric_matrix(self) -> np.ndarray:
-        """All-pairs shortest-path distances as a read-only uint16 matrix.
-
-        Cross-component entries hold the INF sentinel.  Built from
-        dist_lists on first use; numpy is imported only here.
-        """
-        if self._dist is None:
-            import numpy as np
-
-            d = np.array(self.dist_lists(), dtype=np.uint16)
-            d.flags.writeable = False
-            self._dist = d
-        return self._dist
-
     def dist_lists(self) -> list[list[int]]:
         """All-pairs distances as nested Python ints, one breadth-first row
         per source; cached, and shared with every caller."""
@@ -223,9 +207,6 @@ class DigitalImage:
                 balls.append(tuple(by_r))
             self._balls = tuple(balls)
         return self._balls
-
-    def dist(self, i: int, j: int) -> int:
-        return self.dist_lists()[i][j]
 
     def is_connected(self) -> bool:
         """Every vertex is reachable from vertex 0: one breadth-first row,
@@ -606,8 +587,16 @@ def _all_pairs_distances(img: DigitalImage) -> list[list[int]]:
 
 
 def metric(img: DigitalImage) -> np.ndarray:
-    """Shortest-path metric of the image as a cached uint16 matrix."""
-    return img.metric_matrix()
+    """Shortest-path metric of the image as a read-only uint16 matrix, with
+    INF between components, built from dist_lists() on each call.  The one
+    function that needs numpy, which the library does not depend on."""
+    try:
+        import numpy as np
+    except ImportError:
+        raise ImportError("metric() needs numpy; install numpy to use it") from None
+    d = np.array(img.dist_lists(), dtype=np.uint16)
+    d.flags.writeable = False
+    return d
 
 
 def diameter(img: DigitalImage) -> int:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .errors import (
     BadCycleLength,
     BudgetExceeded,
-    Disconnected,
     NotAProduct,
     NotAValidTriple,
     NotEmbedded,
@@ -39,8 +38,8 @@ from .maps import (
     DEFAULT_NODE_BUDGET,
     MapTable,
     SearchOutcome,
-    _check_vertex_cap,
     cycle_indexing,
+    displacement,
     run_counterexample_search,
 )
 
@@ -58,10 +57,6 @@ class LimitingVerdict:
     witness: MapTable | None
     nodes: int
     subset_witness: SubsetMask | None = None
-
-    @property
-    def decided(self) -> bool:
-        return self.holds is not None
 
 
 def _verdict(outcome: SearchOutcome) -> LimitingVerdict:
@@ -111,15 +106,20 @@ def is_minimal_limiting(
 
     Limitedness is monotone in the subset, so a limiting proper subset is
     always contained in some single deletion; checking deletions suffices.
+    node_budget caps the nodes of all these searches together: each gets
+    what the earlier ones left.
     """
-    kw = dict(node_budget=node_budget, max_vertices=max_vertices)
-    base = is_limiting(img, subset, m, n, **kw)
+    base = is_limiting(
+        img, subset, m, n, node_budget=node_budget, max_vertices=max_vertices
+    )
     if base.holds is None or base.holds is False:
         return base
     nodes = base.nodes
     for a in _bits(subset):
         smaller = subset & ~(1 << a)
-        sub = is_limiting(img, smaller, m, n, **kw)
+        sub = is_limiting(
+            img, smaller, m, n, node_budget=node_budget - nodes, max_vertices=max_vertices
+        )
         nodes += sub.nodes
         if sub.holds is None:
             return LimitingVerdict(None, None, nodes)
@@ -182,7 +182,8 @@ def find_minimal_limiting_sets(
     therefore exactly those of a scan that searches every subset.
 
     nodes counts only the searches that ran, and node_budget, which must
-    be nonnegative, caps their total.  On a complete result, searched + skipped is the number of
+    be nonnegative, caps their total: each search gets what the earlier
+    ones left.  On a complete result, searched + skipped is the number of
     subsets with at most size_cap vertices.
     """
     if size_cap < 0:
@@ -198,11 +199,8 @@ def find_minimal_limiting_sets(
             if _decided(mask, found, refuted):
                 skipped += 1
                 continue
-            remaining = node_budget - nodes
-            if remaining <= 0:
-                return MinimalSetResult(found, False, nodes, searched, skipped)
             v = is_limiting(
-                img, mask, m, n, node_budget=remaining, max_vertices=max_vertices
+                img, mask, m, n, node_budget=node_budget - nodes, max_vertices=max_vertices
             )
             searched += 1
             nodes += v.nodes
@@ -241,25 +239,24 @@ def limiting_profile(
 ) -> int:
     """Least n for which the subset is (m, n)-limiting.
 
-    Scans n upward; the diameter always succeeds on a connected image, so
-    the scan terminates.  An image past the vertex cap is refused before
-    its metric is built.
+    Starts at n = 0.  A witness f keeps the subset within m and moves some
+    vertex D(f) > n, so it refutes every n below D(f), and the next n
+    tried is D(f).  No map moves a vertex past the diameter, so the scan
+    ends.  node_budget caps the nodes of all its searches together; the
+    search makes the vertex-cap and connectivity checks, the cap before
+    any distance is read.
     """
-    _check_vertex_cap("search", max_vertices, img.n)
-    if not img.is_connected():
-        raise Disconnected("limiting profiles require a connected image")
-    top = img.diameter_value()
-    for n in range(top + 1):
+    n = nodes = 0
+    while True:
         v = is_limiting(
-            img, subset, m, n, node_budget=node_budget, max_vertices=max_vertices
+            img, subset, m, n, node_budget=node_budget - nodes, max_vertices=max_vertices
         )
+        nodes += v.nodes
         if v.holds is None:
-            raise BudgetExceeded(
-                f"profile undecided at n={n} after {v.nodes} nodes"
-            )
+            raise BudgetExceeded(f"profile undecided at n={n} after {nodes} nodes")
         if v.holds:
             return n
-    raise AssertionError("unreachable: diameter bound always limits")
+        n = displacement(v.witness)
 
 
 # -- cycle bounds ----------------------------------------------------------
@@ -378,9 +375,9 @@ def boundary_cold_condition(img: DigitalImage, subset: SubsetMask) -> bool:
 @dataclass
 class FactorReport:
     """Per-factor limiting verdicts for a product query, with the product's
-    own verdict when it was checked."""
+    own verdict."""
 
-    product: LimitingVerdict | None
+    product: LimitingVerdict
     factors: list[LimitingVerdict]
 
 
@@ -390,7 +387,6 @@ def factor_limitedness(
     m: int,
     n: int,
     *,
-    check_product: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> FactorReport:
@@ -408,9 +404,7 @@ def factor_limitedness(
         )
     check_mask(prod, subset)
     kw = dict(node_budget=node_budget, max_vertices=max_vertices)
-    product_verdict = None
-    if check_product:
-        product_verdict = is_limiting(prod, subset, m, n, **kw)
+    product_verdict = is_limiting(prod, subset, m, n, **kw)
     reports = []
     for i, factor in enumerate(prod.factors):
         proj = 0

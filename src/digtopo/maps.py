@@ -295,10 +295,6 @@ class SearchOutcome:
     witness: MapTable | None
     nodes: int
 
-    @property
-    def decided(self) -> bool:
-        return self.status != "budget"
-
 
 def _bfs_order_from(img: DigitalImage, mask: SubsetMask) -> list[int]:
     """Vertices sorted by breadth-first distance from the masked set,

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from digtopo.cli import build_parser, run
+from digtopo.cli import COMMANDS, build_parser, run
 from digtopo.fileio import parse_dot
 from digtopo.image import DEFAULT_POINT_BUDGET
 
@@ -269,3 +269,62 @@ def test_import_leaves_numpy_and_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SEARCH_COMMANDS = {"verify-limiting", "verify-freezing", "verify-cold", "find-minimal",
+                   "profile"}
+
+
+@pytest.fixture
+def command_args(write_json):
+    img = write_json("c8.json", {"constructor": "cycle", "v": 8})
+    sub = write_json("c8_035.json", {"indices": [0, 3, 5]})
+    return {
+        "verify-limiting": ["--image", img, "--set", sub, "--m", "0", "--n", "0"],
+        "verify-freezing": ["--image", img, "--set", sub],
+        "verify-cold": ["--image", img, "--set", sub, "--s", "1"],
+        "find-minimal": ["--image", img, "--m", "0", "--n", "0", "--size-cap", "1"],
+        "profile": ["--image", img, "--set", sub, "--m", "0"],
+        "classify-cycle-maps": ["--v", "6"],
+        "rigidity": ["--image", img],
+        "metrics": ["--image", img, "--set0", sub, "--set1", sub],
+        "export-dot": ["--image", img],
+    }
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_takes_only_the_flags_it_honours(command, command_args, capsys):
+    """--json and --threads go with every command, --budget-nodes with the
+    searching ones and --budget-maps with the census; any other flag is a
+    usage error."""
+    argv = [command] + command_args[command]
+    code = run(argv + ["--json"])
+    out = capsys.readouterr().out
+    assert code != 3
+    assert run(argv + ["--json", "--threads", "2"]) == code
+    assert capsys.readouterr().out == out
+    for flag, takers in (("--budget-nodes", SEARCH_COMMANDS),
+                         ("--budget-maps", {"classify-cycle-maps"})):
+        got = run(argv + ["--json", flag, "100000"])
+        captured = capsys.readouterr()
+        if command in takers:
+            assert (got, captured.out) == (code, out), flag
+        else:
+            assert (got, captured.out) == (3, ""), flag
+            assert captured.err == f"error: unrecognized arguments: {flag} 100000\n"
+
+
+def test_one_node_budget_caps_every_search_of_a_command(write_json, capsys):
+    """--minimal and profile run several searches; the budget caps them
+    together, not each one."""
+    img = write_json("c8.json", {"constructor": "cycle", "v": 8})
+    sub = write_json("c8_035.json", {"indices": [0, 3, 5]})
+    argv = ["verify-freezing", "--image", img, "--set", sub, "--minimal", "--json"]
+    assert run(argv + ["--budget-nodes", "12"]) == 2
+    report = _json_out(capsys)
+    assert (report["holds"], report["nodes"]) == (None, 12)
+    argv = ["profile", "--image", img, "--set", sub, "--m", "1"]
+    assert run(argv + ["--budget-nodes", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unknown: profile undecided at n=3 after 20 nodes\n"

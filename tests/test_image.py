@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 
 import numpy as np
@@ -316,6 +317,14 @@ def test_metric_readonly(path3):
     assert d.dtype == np.uint16
     with pytest.raises(ValueError):
         d[0, 0] = 5
+
+
+def test_metric_without_numpy_says_it_needs_numpy(path3, monkeypatch):
+    # numpy is no runtime dependency; a None entry makes its import fail
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError, match="needs numpy"):
+        metric(path3)
+    assert path3.dist_lists() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
 
 def test_connectivity():

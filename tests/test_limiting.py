@@ -179,6 +179,14 @@ def test_find_minimal_budget_caps_searches_that_run(cycle8):
     assert cut.nodes == full.nodes - 1
 
 
+def test_find_minimal_budget_equal_to_a_zero_total_decides(cycle8):
+    """n = 4 is the diameter of C8, so every search decides without a node;
+    a budget of 0 still leaves each its 0 nodes."""
+    full = find_minimal_limiting_sets(cycle8, 0, 4, 2)
+    assert (full.sets, full.complete, full.nodes) == ([0], True, 0)
+    assert find_minimal_limiting_sets(cycle8, 0, 4, 2, node_budget=0) == full
+
+
 def test_negative_budget_is_refused_by_every_search_entry(cycle8):
     subset = mask_from_indices([0, 3, 5])
     with pytest.raises(ValueError, match="nonnegative"):
@@ -246,6 +254,64 @@ def test_profile_interval_endpoints():
 def test_profile_budget(square_c2, corners_c2):
     with pytest.raises(BudgetExceeded):
         limiting_profile(square_c2, corners_c2, 0, node_budget=1)
+
+
+PROFILE_IMAGES = [
+    lambda: build_box([(0, 2), (0, 2)], 1),
+    lambda: build_box([(0, 2), (0, 2)], 2),
+    lambda: build_box([(0, 3), (0, 1)], 1),
+    lambda: build_box([(0, 4)], 1),
+    lambda: build_cycle(6)[0],
+    lambda: build_cycle(9)[0],
+    lambda: build_from_points([(0, 0), (1, 0), (2, 0), (1, 1), (1, 2)], 1),
+]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_profile_matches_per_n_scan(data):
+    """The profile, which jumps to each witness's displacement, gives the
+    least n that a plain scan of n = 0, 1, 2, ... finds."""
+    if data.draw(st.booleans()):
+        img = data.draw(st.sampled_from(PROFILE_IMAGES))()
+    else:
+        k = data.draw(st.integers(1, 4))
+        img = build_explicit(k, data.draw(st.sampled_from(list(oracle.connected_graphs(k)))))
+    subset = data.draw(st.integers(0, (1 << img.n) - 1))
+    m = data.draw(st.integers(0, 3))
+    least = next(n for n in itertools.count() if is_limiting(img, subset, m, n).holds)
+    assert limiting_profile(img, subset, m) == least
+
+
+def _profile_nodes(img, subset, m):
+    """Nodes of the searches a profile makes: at n = 0, then at the
+    displacement of each witness, until a search holds."""
+    n = nodes = 0
+    while True:
+        v = is_limiting(img, subset, m, n)
+        nodes += v.nodes
+        if v.holds:
+            return nodes
+        n = displacement(v.witness)
+
+
+def test_one_budget_caps_every_search_of_a_query(square_c1, square_c2, cycle8):
+    """A budget equal to the nodes all searches of a minimality check or a
+    profile need decides it the same way; one node less leaves it
+    undecided, having spent exactly that budget."""
+    for img in (square_c1, square_c2, cycle8):
+        for subset in (mask_from_indices([0, 4]), mask_from_indices([0, 3, 5])):
+            for m, n in ((0, 0), (0, 1), (1, 1)):
+                v = is_minimal_limiting(img, subset, m, n)
+                assert is_minimal_limiting(img, subset, m, n, node_budget=v.nodes) == v
+                cut = is_minimal_limiting(img, subset, m, n, node_budget=v.nodes - 1)
+                assert (cut.holds, cut.nodes) == (None, v.nodes - 1)
+            for m in (0, 1):
+                total = _profile_nodes(img, subset, m)
+                least = limiting_profile(img, subset, m)
+                assert limiting_profile(img, subset, m, node_budget=total) == least
+                with pytest.raises(BudgetExceeded, match=f"after {total - 1} nodes"):
+                    limiting_profile(img, subset, m, node_budget=total - 1)
 
 
 def test_profile_refuses_past_the_vertex_cap_before_building_the_metric():
@@ -411,7 +477,7 @@ def test_factor_limitedness_forward():
     prod = product([a, b], 2)
     sub = mask_from_points(prod, [(x, y) for x in (0, 1) for y in (0, 2)])
     for m, n in ((0, 0), (0, 1), (1, 1), (0, 2)):
-        rep = factor_limitedness(prod, sub, m, n, check_product=True)
+        rep = factor_limitedness(prod, sub, m, n)
         if rep.product.holds:
             assert all(f.holds for f in rep.factors), (m, n)
 
@@ -423,7 +489,7 @@ def test_factor_limitedness_converse_fails():
     b = build_box([(0, 2)], 1)
     prod = product([a, b], 2)
     sub = mask_from_points(prod, [(x, y) for x in (0, 1) for y in (0, 2)])
-    rep = factor_limitedness(prod, sub, 0, 0, check_product=True)
+    rep = factor_limitedness(prod, sub, 0, 0)
     assert all(f.holds for f in rep.factors)
     assert rep.product.holds is False
     assert is_continuous(rep.product.witness)
