@@ -7,7 +7,8 @@ errors.  With --json each command emits exactly one JSON object with a
 timing is reported only in the human-readable form.
 
 Each command is declared once, in COMMANDS, with the flags it takes from
-_FLAGS; any other flag is a usage error.
+_FLAGS; any other flag, an abbreviation of one included, is a usage
+error.
 """
 
 from __future__ import annotations
@@ -238,10 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process from COMMANDS and
     _FLAGS; parsing leaves it unchanged, so every run() shares it.  Each
     subparser records the dests of its query as its query default."""
-    parser = _Parser(prog="digtopo", description="digital image map analysis")
+    parser = _Parser(
+        prog="digtopo", description="digital image map analysis", allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command")
     for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         query = list(cmd.fixed)
         for flag in cmd.flags.split() + ["--json", "--threads"]:
             action = p.add_argument(flag, **_FLAGS[flag])

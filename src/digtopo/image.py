@@ -605,10 +605,8 @@ def diameter(img: DigitalImage) -> int:
 
 def metric_ball(img: DigitalImage, x: int, m: int) -> SubsetMask:
     """Mask of vertices within distance m of x."""
-    if not 0 <= x < img.n:
-        raise ValueError(f"vertex {x} out of range")
     out = 0
-    for j, d in enumerate(img.dist_lists()[x]):
+    for j, d in enumerate(img.dist_row(x)):
         if d <= m:
             out |= 1 << j
     return out
@@ -639,7 +637,7 @@ def unique_shortest_path(img: DigitalImage, x: int, y: int) -> list[int] | None:
     """The unique geodesic from x to y as vertex indices, or None if several."""
     if not (0 <= x < img.n and 0 <= y < img.n):
         raise ValueError("vertex index out of range")
-    row = img.dist_lists()[x]
+    row = img.dist_row(x)
     if row[y] >= INF:
         raise Disconnected("vertices lie in different components")
     order = sorted(range(img.n), key=lambda v: (row[v], v))
@@ -674,8 +672,7 @@ def is_k_cover(img: DigitalImage, mask: SubsetMask, k: int) -> bool:
         raise ValueError("cover radius must be nonnegative")
     if mask == 0:
         return img.n == 0
-    dist = img.dist_lists()
-    return all(min(col) <= k for col in zip(*(dist[a] for a in _bits(mask))))
+    return all(min(col) <= k for col in zip(*map(img.dist_row, _bits(mask))))
 
 
 def is_dominating(img: DigitalImage, mask: SubsetMask) -> bool:

@@ -173,32 +173,6 @@ def is_retraction(f: MapTable) -> bool:
 # -- search engine ---------------------------------------------------------
 
 
-class _PairSpace:
-    """Distance rows of the domain and radius balls of the codomain.
-
-    ball(v, r) is the mask of codomain vertices within distance r of v;
-    r may be the INF sentinel, matching everything.  Both tables are
-    cached on their images, so building a pair space is cheap once an
-    image has been searched.
-    """
-
-    __slots__ = ("dom", "cod", "dist_dom", "full", "max_r", "balls")
-
-    def __init__(self, dom: DigitalImage, cod: DigitalImage):
-        self.dom = dom
-        self.cod = cod
-        self.dist_dom = dom.dist_lists()
-        self.full = (1 << cod.n) - 1
-        self.balls = cod.ball_masks()
-        self.max_r = len(self.balls[0]) - 1 if self.balls else 0
-
-    def ball(self, v: int, r: int) -> int:
-        if r >= INF:
-            return self.full
-        by_r = self.balls[v]
-        return by_r[r] if r <= self.max_r else by_r[self.max_r]
-
-
 class _CapHit(Exception):
     pass
 
@@ -213,7 +187,8 @@ def _check_vertex_cap(what: str, max_vertices: int, *sizes: int) -> None:
 
 
 def _assignments(
-    space: _PairSpace,
+    dist: Sequence[Sequence[int]],
+    balls: Sequence[Sequence[int]],
     order: Sequence[int],
     cand: Sequence[int],
     viol: Sequence[int] | None = None,
@@ -225,9 +200,14 @@ def _assignments(
     This is the one forward-checking kernel: vertices are assigned in the
     given order, values in ascending order from their candidate masks,
     and every later candidate set is cut to the metric ball the new value
-    allows.  With viol given, only assignments placing some vertex x on a
-    value in viol[x] are yielded, and branches that can no longer do so
-    are cut.  nodes[0], when given, counts attempted assignments; the
+    allows.  dist holds the domain's distance rows and balls the
+    codomain's ball rows (DigitalImage.dist_lists and ball_masks): once x
+    takes the value v, a vertex y at distance r from x keeps only the
+    candidates in balls[v][r].  An INF distance allows every vertex, and
+    a radius past the codomain's largest distance allows v's component,
+    its largest ball.  With viol given, only assignments placing some
+    vertex x on a value in viol[x] are yielded, and branches that can no
+    longer do so are cut.  nodes[0], when given, counts attempted assignments; the
     attempt after the cap-th raises _CapHit.
 
     The depth-first walk keeps an explicit stack: depth p owns a
@@ -236,9 +216,9 @@ def _assignments(
     candidates of every later vertex into the next depth's list, and
     only those entries are read below it, so no list is copied.
     """
-    dist = space.dist_dom
-    ball = space.ball
-    n = space.dom.n
+    n = len(dist)
+    full = (1 << len(balls)) - 1
+    top = len(balls[0]) - 1 if balls else 0
     order = list(order)
     last = len(order) - 1
     assign = [0] * n
@@ -262,8 +242,10 @@ def _assignments(
                 raise _CapHit
             assign[x] = v
             vio = violated or viol[x] >> v & 1
+            bv = balls[v]
             for y in rest:
-                ny = cur[y] & ball(v, dx[y])
+                r = dx[y]
+                ny = cur[y] & (bv[r] if r <= top else bv[top] if r < INF else full)
                 if not ny:
                     break
                 nc[y] = ny
@@ -330,15 +312,18 @@ def _counterexample_tables(
     _check_vertex_cap("search", max_vertices, img.n)
     if not img.is_connected():
         raise Disconnected("counterexample search requires a connected image")
-    space = _PairSpace(img, img)
-    cand = [space.full] * img.n
+    # The image is connected, so a radius past its diameter allows every
+    # vertex and a violation past it is impossible.
+    balls = img.ball_masks()
+    full = (1 << img.n) - 1
+    cand = [full] * img.n
     for a in _bits(subset):
-        cand[a] = space.ball(a, m)
-    viol = [space.full & ~space.ball(x, n) for x in range(img.n)]
+        cand[a] = balls[a][m] if m < len(balls[a]) else full
+    viol = [full & ~by_r[n] if n < len(by_r) else 0 for by_r in balls]
     if not any(c & w for c, w in zip(cand, viol)):
         return iter(())
     order = _bfs_order_from(img, subset)
-    return _assignments(space, order, cand, viol, nodes, cap)
+    return _assignments(img.dist_lists(), balls, order, cand, viol, nodes, cap)
 
 
 def run_counterexample_search(
@@ -408,23 +393,18 @@ def iter_counterexamples(
     return (MapTable(img, img, t) for t in tables)
 
 
-def enumerate_continuous_self_maps(
-    img: DigitalImage, *, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> Iterator[MapTable]:
+def enumerate_continuous_self_maps(img: DigitalImage) -> Iterator[MapTable]:
     """Every continuous self-map exactly once, in lexicographic table order."""
-    yield from continuous_maps_between(img, img, max_vertices=max_vertices)
+    return continuous_maps_between(img, img)
 
 
 def continuous_maps_between(
-    dom: DigitalImage,
-    cod: DigitalImage,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    dom: DigitalImage, cod: DigitalImage
 ) -> Iterator[MapTable]:
     """Every continuous map from dom to cod, in lexicographic table order."""
-    _check_vertex_cap("enumeration", max_vertices, dom.n, cod.n)
-    space = _PairSpace(dom, cod)
-    for table in _assignments(space, range(dom.n), [space.full] * dom.n):
+    _check_vertex_cap("enumeration", DEFAULT_MAX_VERTICES, dom.n, cod.n)
+    cand = [(1 << cod.n) - 1] * dom.n
+    for table in _assignments(dom.dist_lists(), cod.ball_masks(), range(dom.n), cand):
         yield MapTable(dom, cod, table)
 
 
@@ -438,12 +418,13 @@ def _check_homotopy_args(f: MapTable, g: MapTable) -> None:
         raise ValueError("homotopy is defined for continuous maps")
 
 
-def _one_step_neighbors(space: _PairSpace, table: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _one_step_neighbors(
+    dom: DigitalImage, cod: DigitalImage, table: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
     # One homotopy step: every vertex may move to an equal or adjacent value,
     # and the result must again be continuous.
-    cod = space.cod
     cand = [cod.nstar_mask(v) for v in table]
-    return _assignments(space, range(space.dom.n), cand)
+    return _assignments(dom.dist_lists(), cod.ball_masks(), range(dom.n), cand)
 
 
 def is_homotopic(
@@ -451,7 +432,6 @@ def is_homotopic(
     g: MapTable,
     *,
     max_visited: int = DEFAULT_MAX_VISITED,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> bool:
     """Whether a chain of one-step deformations links f to g.
 
@@ -460,16 +440,15 @@ def is_homotopic(
     table; exceeding max_visited raises BudgetExceeded.
     """
     _check_homotopy_args(f, g)
-    _check_vertex_cap("homotopy search", max_vertices, f.domain.n)
+    _check_vertex_cap("homotopy search", DEFAULT_MAX_VERTICES, f.domain.n)
     if f.table == g.table:
         return True
-    space = _PairSpace(f.domain, f.codomain)
     target = g.table
     visited = {f.table}
     queue = deque([f.table])
     while queue:
         cur = queue.popleft()
-        for nb in _one_step_neighbors(space, cur):
+        for nb in _one_step_neighbors(f.domain, f.codomain, cur):
             if nb == target:
                 return True
             if nb not in visited:
@@ -482,9 +461,7 @@ def is_homotopic(
     return False
 
 
-def is_rigid(
-    img: DigitalImage, *, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> bool:
+def is_rigid(img: DigitalImage) -> bool:
     """The homotopy class of the identity contains only the identity.
 
     Homotopy classes are the connected components of the one-step map
@@ -493,17 +470,15 @@ def is_rigid(
     continuous self-maps moving every vertex at most one step, so this
     is the same question as only_identity_is_1map, which answers both.
     """
-    return only_identity_is_1map(img, max_vertices=max_vertices)
+    return only_identity_is_1map(img)
 
 
-def only_identity_is_1map(
-    img: DigitalImage, *, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> bool:
+def only_identity_is_1map(img: DigitalImage) -> bool:
     """No continuous self-map other than the identity moves every vertex
     by at most one step; equivalently, the image is rigid."""
-    _check_vertex_cap("rigidity check", max_vertices, img.n)
+    _check_vertex_cap("rigidity check", DEFAULT_MAX_VERTICES, img.n)
     ident = tuple(range(img.n))
-    for nb in _one_step_neighbors(_PairSpace(img, img), ident):
+    for nb in _one_step_neighbors(img, img, ident):
         if nb != ident:
             return False
     return True

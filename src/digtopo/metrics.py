@@ -23,7 +23,6 @@ from .maps import (
     MapTable,
     _assignments,
     _check_vertex_cap,
-    _PairSpace,
     displacement,
     is_continuous,
 )
@@ -64,14 +63,14 @@ def _min_max_displacement(
     """
     dom_img, _ = induced(img, mask_from_indices(dom_ids))
     cod_img, _ = induced(img, mask_from_indices(cod_ids))
-    space = _PairSpace(dom_img, cod_img)
+    dist, balls = dom_img.dist_lists(), cod_img.ball_masks()
     cost = [[row[b] for b in cod_ids] for row in map(img.dist_row, dom_ids)]
     t = min(max(col) for col in zip(*cost)) - 1
     while t >= 0:
         cand = [
             mask_from_indices(v for v, c in enumerate(row) if c <= t) for row in cost
         ]
-        table = next(_assignments(space, range(len(cost)), cand), None)
+        table = next(_assignments(dist, balls, range(len(cost)), cand), None)
         if table is None:
             break
         t = max(row[v] for row, v in zip(cost, table)) - 1
@@ -82,8 +81,6 @@ def metric_of_continuity(
     img: DigitalImage,
     mask0: SubsetMask,
     mask1: SubsetMask,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> int:
     """Least t admitting continuous maps both ways between the subsets
     (induced adjacency) that move every point at most t in the ambient
@@ -93,7 +90,7 @@ def metric_of_continuity(
         raise Disconnected("subset distances require a connected ambient image")
     a = _subset_ids(img, mask0)
     b = _subset_ids(img, mask1)
-    _check_vertex_cap("metric of continuity", max_vertices, len(a), len(b))
+    _check_vertex_cap("metric of continuity", DEFAULT_MAX_VERTICES, len(a), len(b))
     return max(
         _min_max_displacement(img, a, b),
         _min_max_displacement(img, b, a),

@@ -314,6 +314,20 @@ def test_each_command_takes_only_the_flags_it_honours(command, command_args, cap
             assert captured.err == f"error: unrecognized arguments: {flag} 100000\n"
 
 
+def test_abbreviated_flags_are_usage_errors(command_args, capsys):
+    """A prefix of a flag is not that flag, even when it names only one."""
+    img, sub = command_args["verify-freezing"][1], command_args["verify-freezing"][3]
+    for argv in (
+        ["verify-limiting", "--image", img, "--s", sub, "--m", "0", "--n", "0"],
+        ["verify-freezing", "--image", img, "--set", sub, "--budget", "1"],
+        ["verify-freezing", "--ima", img, "--set", sub],
+        ["verify-freezing", "--image", img, "--se", sub],
+        ["verify-freezing", "--image", img, "--set", sub, "--js"],
+    ):
+        assert run(argv) == 3, argv
+        assert capsys.readouterr().out == "", argv
+
+
 def test_one_node_budget_caps_every_search_of_a_command(write_json, capsys):
     """--minimal and profile run several searches; the budget caps them
     together, not each one."""

@@ -285,6 +285,21 @@ def _explicit_images(max_n):
     )
 
 
+def _row_reader_answers(img):
+    """Every answer of metric_ball, unique_shortest_path and is_k_cover
+    from each vertex, with the cover sets holding vertex 0 and one more."""
+    out = []
+    for x in range(img.n):
+        out.append([metric_ball(img, x, r) for r in range(4)])
+        out.append([is_k_cover(img, 1 | 1 << x, k) for k in range(4)])
+        for y in range(img.n):
+            try:
+                out.append(unique_shortest_path(img, x, y))
+            except Disconnected:
+                out.append("disconnected")
+    return out
+
+
 # c1 and c2 point sets, explicit images and products of two small images,
 # connected or not
 metric_inputs = st.one_of(
@@ -306,9 +321,11 @@ def test_metric_matches_bfs_oracle(img):
     ]
     # a row before the table exists is a single-source search; after, a read
     assert [img.dist_row(x) for x in range(img.n)] == expect
+    row_answers = _row_reader_answers(img)
     assert img._dist_lists is None
     assert img.dist_lists() == expect
     assert [img.dist_row(x) for x in range(img.n)] == expect
+    assert _row_reader_answers(img) == row_answers
     assert metric(img).tolist() == expect
 
 

@@ -213,10 +213,29 @@ def test_enumerate_all_small_graphs():
 
 
 def test_maps_between_oracle(seg, path3):
-    found = {f.table for f in continuous_maps_between(seg, path3)}
-    assert found == oracle.continuous_maps_between(seg, path3)
-    found = {f.table for f in continuous_maps_between(path3, seg)}
-    assert found == oracle.continuous_maps_between(path3, seg)
+    """Includes distances the codomain cannot match: INF between the
+    domain's components allows any pair of values, and a distance past
+    the codomain's largest one allows only the first value's component,
+    which on a codomain with no edge is the value itself."""
+    two_segs = build_explicit(4, [(0, 1), (2, 3)])
+    seg_and_point = build_explicit(3, [(0, 1)])
+    two_points = build_explicit(2, [])
+    path5 = build_box([(0, 4)], 1)
+    pairs = (
+        (seg, path3),
+        (path3, seg),
+        (path3, two_points),
+        (two_segs, two_points),
+        (two_segs, path3),
+        (path3, two_segs),
+        (two_segs, seg_and_point),
+        (path5, path3),
+        (path5, seg_and_point),
+        (build_cycle(8)[0], build_box([(0, 1), (0, 1)], 2)),
+    )
+    for dom, cod in pairs:
+        got = [f.table for f in continuous_maps_between(dom, cod)]
+        assert got == sorted(oracle.continuous_maps_between(dom, cod)), (dom.n, cod.n)
 
 
 def test_enumeration_is_in_strict_lexicographic_order(seg, path3):
@@ -365,9 +384,9 @@ def test_kernel_runs_nothing_before_the_first_table(square_c2):
     """Queries are validated when the kernel is built, but the kernel
     itself is lazy: building it counts no node, so a cap of 0 is hit
     only on the first next()."""
-    space = maps._PairSpace(square_c2, square_c2)
+    dist, balls = square_c2.dist_lists(), square_c2.ball_masks()
     nodes = [0]
-    tables = maps._assignments(space, range(9), [space.full] * 9, nodes=nodes, cap=0)
+    tables = maps._assignments(dist, balls, range(9), [0x1FF] * 9, nodes=nodes, cap=0)
     assert nodes == [0]
     with pytest.raises(maps._CapHit):
         next(tables)
@@ -393,6 +412,53 @@ def test_homotopy_argument_checks(seg, path3, cycle8):
         is_homotopic(identity(seg), identity(path3))
     with pytest.raises(BudgetExceeded):
         is_homotopic(identity(cycle8), constant(cycle8, 0), max_visited=1)
+
+
+def _one_step_components(dom, cod):
+    """Component of every continuous map from dom to cod in the graph
+    whose edges join maps differing by at most one step at each vertex,
+    found by brute force over the oracle's maps."""
+    adj = oracle.adjacency_sets(cod)
+    tables = sorted(oracle.continuous_maps_between(dom, cod))
+    comp = {}
+    for start in tables:
+        if start in comp:
+            continue
+        comp[start] = start
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for t in tables:
+                if t not in comp and all(
+                    a == b or b in adj[a] for a, b in zip(cur, t)
+                ):
+                    comp[t] = start
+                    stack.append(t)
+    return comp
+
+
+@pytest.mark.parametrize(
+    "dom, cod",
+    [
+        (build_box([(0, 2)], 1), build_cycle(8)[0]),
+        (build_cycle(8)[0], build_box([(0, 2)], 1)),
+        (build_box([(0, 1), (0, 1)], 1), build_box([(0, 2), (0, 1)], 2)),
+        (build_cycle(6)[0], build_cycle(5)[0]),
+    ],
+    ids=["path3-C8", "C8-path3", "box2x2c1-box3x2c2", "C6-C5"],
+)
+def test_homotopy_between_different_images_matches_components(dom, cod):
+    """One step moves each value within the codomain, so the balls that
+    cut it are the codomain's; a domain and codomain of different sizes
+    catch a search that reads the wrong image's."""
+    comp = _one_step_components(dom, cod)
+    tables = sorted(comp)
+    refs = sorted(set(comp.values()))
+    for ref in refs:
+        f = MapTable(dom, cod, ref)
+        for t in tables[:: max(1, len(tables) // 40)] + refs:
+            want = comp[t] == ref
+            assert is_homotopic(f, MapTable(dom, cod, t)) == want, (ref, t)
 
 
 def test_rigidity():

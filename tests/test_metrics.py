@@ -14,8 +14,11 @@ from digtopo.image import (
     build_cycle,
     build_from_points,
     full_mask,
+    is_k_cover,
     mask_from_indices,
     mask_from_points,
+    metric_ball,
+    unique_shortest_path,
 )
 from digtopo.maps import (
     MapTable,
@@ -44,6 +47,15 @@ def test_subset_distances_read_only_the_subset_rows():
     assert hausdorff(img, a, b) == 55
     assert metric_of_continuity(img, a, b) == 55
     assert subset_diameter_ambient(img, a) == 30
+    # the image's own row readers need only their rows too
+    at = img.point_index
+    corner = mask_from_points(img, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    assert metric_ball(img, at[(0, 0)], 1) == corner
+    diagonal = [at[(i, i)] for i in range(4)]
+    assert unique_shortest_path(img, at[(0, 0)], at[(3, 3)]) == diagonal
+    assert unique_shortest_path(img, at[(0, 0)], at[(3, 2)]) is None
+    center = mask_from_points(img, [(31, 31)])
+    assert is_k_cover(img, center, 32) and not is_k_cover(img, center, 31)
     assert img._dist_lists is None
 
 
