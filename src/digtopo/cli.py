@@ -18,8 +18,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import fileio, limiting, maps, metrics
 from .errors import BudgetExceeded, DigitalTopologyError
@@ -99,8 +98,7 @@ def _witness_lines(f: MapTable) -> list[str]:
     return out
 
 
-@dataclass
-class _Report:
+class _Report(NamedTuple):
     """What one command found.
 
     fields go into the JSON report after schema, command and query.  The
@@ -112,8 +110,8 @@ class _Report:
     code: int
     fields: dict
     head: str | None
-    stats: list[str] = field(default_factory=list)
-    lines: list[str] = field(default_factory=list)
+    stats: Sequence[str] = ()
+    lines: Sequence[str] = ()
 
 
 def _verify(args) -> _Report:
@@ -264,7 +262,7 @@ def _emit(args, r: _Report, started: float) -> int:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
         if r.head is not None:
-            stats = ", ".join(r.stats + [f"{elapsed_ms} ms"])
+            stats = ", ".join([*r.stats, f"{elapsed_ms} ms"])
             print(f"{args.command}: {r.head} ({stats})")
         for line in r.lines:
             print(line)

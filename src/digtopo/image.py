@@ -17,8 +17,7 @@ and every deterministic guarantee elsewhere in the library leans on it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadAdjacency,
@@ -45,8 +44,7 @@ DEFAULT_POINT_BUDGET = 4096
 COORD_LIMIT = 1 << 30
 
 
-@dataclass(frozen=True)
-class AdjacencyKind:
+class AdjacencyKind(NamedTuple):
     """Tag describing which adjacency rule generated an image's edges."""
 
     kind: str  # "cu" | "npu" | "explicit"

@@ -16,7 +16,7 @@ single deletions, and a witness refutes every subset it moves little.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadCycleLength,
@@ -44,8 +44,7 @@ from .maps import (
 )
 
 
-@dataclass
-class LimitingVerdict:
+class LimitingVerdict(NamedTuple):
     """Outcome of a limiting-set query.
 
     holds is True, False, or None for undecided-within-budget.  A False
@@ -128,8 +127,7 @@ def is_minimal_limiting(
     return LimitingVerdict(True, None, nodes)
 
 
-@dataclass
-class MinimalSetResult:
+class MinimalSetResult(NamedTuple):
     """Minimal limiting sets found up to a size cap, in discovery order.
 
     complete is False when the node budget ran out; sets found before the
@@ -372,8 +370,7 @@ def boundary_cold_condition(img: DigitalImage, subset: SubsetMask) -> bool:
 # -- products --------------------------------------------------------------
 
 
-@dataclass
-class FactorReport:
+class FactorReport(NamedTuple):
     """Per-factor limiting verdicts for a product query, with the product's
     own verdict."""
 

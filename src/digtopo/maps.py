@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -48,13 +47,27 @@ DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_MAX_VISITED = 200_000
 
 
-@dataclass(frozen=True)
-class MapTable:
-    """A total map between digital images, stored as an index table."""
-
+class _MapFields(NamedTuple):
     domain: DigitalImage
     codomain: DigitalImage
     table: tuple[int, ...]
+
+
+class MapTable(_MapFields):
+    """A total map between digital images, stored as an index table.
+    Every way of building one, _make, _replace and pickle included,
+    validates the table in __post_init__."""
+
+    __slots__ = ()
+
+    def __new__(cls, domain, codomain, table):
+        self = tuple.__new__(cls, (domain, codomain, table))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __post_init__(self):
         if len(self.table) != self.domain.n:
@@ -263,8 +276,7 @@ def _assignments(
             pos -= 1
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of a counterexample search.
 
     status is "witness" (violating map found), "exhausted" (none exists),
@@ -491,8 +503,7 @@ ROTATION = "rotation"
 FLIP_ROTATION = "flip_rotation"
 
 
-@dataclass(frozen=True)
-class CycleMapClass:
+class CycleMapClass(NamedTuple):
     """Class of a continuous cycle self-map relative to the derived
     circular indexing: nonsurjective, a rotation by d, or a reflection
     composed with a rotation by d (position i goes to d - i)."""

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import digtopo
 from digtopo.cli import COMMANDS, build_parser, run
 from digtopo.fileio import parse_dot
 from digtopo.image import DEFAULT_POINT_BUDGET
@@ -267,6 +269,21 @@ def test_import_leaves_numpy_and_scipy_unloaded():
         "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # -S keeps site hooks, which may load these modules themselves, out of
+    # the child; the package is found where this process imported it from
+    root = os.path.dirname(os.path.dirname(os.path.abspath(digtopo.__file__)))
+    code = (
+        f"import sys; sys.path.insert(0, {root!r}); import digtopo, digtopo.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -23,13 +23,15 @@ from digtopo.image import (
     build_explicit,
     build_from_points,
     full_mask,
+    is_k_cover,
     mask_from_indices,
     mask_from_points,
+    mask_indices,
     mask_points,
     metric,
     product,
 )
-from digtopo.maps import displacement, is_continuous, is_n_map_on
+from digtopo.maps import displacement, is_continuous, is_n_map_on, search_counterexample
 from digtopo.limiting import (
     LimitingVerdict,
     boundary_cold_condition,
@@ -140,6 +142,34 @@ def test_minimality_failure_reports_subset(seg):
     # the reported single deletion still limits
     assert v.subset_witness == 0b10
     assert is_limiting(seg, v.subset_witness, 0, 1).holds is True
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cube_corners_freeze_but_four_alternating_corners_suffice(k):
+    """On the 3x3x3 and 4x4x4 c1 cubes the 8 corners freeze without being
+    minimal: the 4 alternating corners already form a minimal freezing
+    set.  Criterion 2's minimality of all corners holds only in 2D."""
+    img = build_box([(0, k)] * 3, 1)
+    cap = dict(max_vertices=img.n)
+    corners = mask_from_points(img, list(itertools.product((0, k), repeat=3)))
+    assert is_freezing(img, corners, **cap).holds is True
+    v = is_minimal_limiting(img, corners, 0, 0, **cap)
+    assert v.holds is False
+    assert v.subset_witness is not None and v.subset_witness & ~corners == 0
+    assert v.subset_witness != corners
+    assert is_freezing(img, v.subset_witness, **cap).holds is True
+
+    four = [(0, 0, 0), (0, k, k), (k, 0, k), (k, k, 0)]
+    alternating = mask_from_points(img, four)
+    assert is_minimal_limiting(img, alternating, 0, 0, **cap).holds is True
+    # each single deletion is refuted by a map checked without the search
+    adj = oracle.adjacency_sets(img)
+    for p in four:
+        rest = alternating & ~mask_from_points(img, [p])
+        f = search_counterexample(img, rest, 0, 0, **cap)
+        assert oracle.is_continuous_table(adj, adj, f.table)
+        assert all(f.table[i] == i for i in mask_indices(rest))
+        assert any(t != i for i, t in enumerate(f.table))
 
 
 def test_find_minimal_interval(seg):
@@ -436,6 +466,24 @@ def test_cover_bound_holds_on_interval():
     assert displacement(v.witness) == 2
 
 
+@pytest.mark.parametrize(
+    "img",
+    [build_box([(0, 3), (0, 3)], 1), build_box([(0, 3), (0, 3)], 2),
+     build_cycle(12)[0], build_box([(0, 5), (0, 1)], 1)],
+    ids=["4x4c1", "4x4c2", "C12", "6x2c1"],
+)
+def test_cover_bound_sweep(img):
+    """Every 1-3-point subset A that is a k-cover for the least such k, and
+    every m up to 2: (m, m + 2k) limits, so the profile never exceeds it."""
+    for size in (1, 2, 3):
+        for ids in itertools.combinations(range(img.n), size):
+            a = mask_from_indices(ids)
+            k = next(k for k in itertools.count() if is_k_cover(img, a, k))
+            for m in range(3):
+                assert limiting_profile(img, a, m) <= cover_displacement_bound(m, k), (
+                    ids, m, k)
+
+
 # -- boundary condition ----------------------------------------------------
 
 
@@ -458,6 +506,23 @@ def test_boundary_cold_condition_cases():
     assert is_s_cold(img, drop_corner, 1).holds is True
     assert is_s_cold(img, drop_far, 1).holds is True
     assert is_s_cold(img, drop_adjacent, 1).holds is False
+
+
+@pytest.mark.parametrize(
+    "hi, meeting", [((2, 2), 47), ((2, 3), 123), ((3, 3), 322)], ids=["3x3", "3x4", "4x4"]
+)
+def test_boundary_cold_condition_sweep(hi, meeting):
+    """Every boundary subset of a c2 rectangle that meets the condition is
+    1-cold; meeting counts those subsets."""
+    img = build_box([(0, hi[0]), (0, hi[1])], 2)
+    bd = mask_indices(boundary(img))
+    met = 0
+    for keep in itertools.product((0, 1), repeat=len(bd)):
+        a = mask_from_indices([i for i, on in zip(bd, keep) if on])
+        if boundary_cold_condition(img, a):
+            met += 1
+            assert is_s_cold(img, a, 1).holds is True, mask_points(img, a)
+    assert met == meeting
 
 
 def test_boundary_cold_condition_requires_c2_rectangle(square_c1, cycle8):
