@@ -16,6 +16,7 @@ single deletions, and a witness refutes every subset it moves little.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 from .errors import (
@@ -38,6 +39,8 @@ from .maps import (
     DEFAULT_NODE_BUDGET,
     MapTable,
     SearchOutcome,
+    _query_viol,
+    _search,
     cycle_indexing,
     displacement,
     run_counterexample_search,
@@ -133,7 +136,7 @@ class MinimalSetResult(NamedTuple):
     complete is False when the node budget ran out; sets found before the
     cutoff are still reported.  nodes counts the nodes of the searches
     that ran; searched counts those searches and skipped the subsets that
-    earlier results decided without one.
+    a forced point's move or an earlier result decided without one.
     """
 
     sets: list[SubsetMask]
@@ -141,6 +144,23 @@ class MinimalSetResult(NamedTuple):
     nodes: int
     searched: int = 0
     skipped: int = 0
+
+
+def _forced_points(img: DigitalImage, m: int, n: int) -> tuple[SubsetMask, bool]:
+    """F, the vertices every (m, n)-limiting set holds, and whether some
+    move refutes every subset, on a connected image.  The map moving only
+    x, to y, is continuous exactly when every neighbour of x is y or
+    adjacent to y; it moves x by d(x, y) and nothing else.  With
+    d(x, y) > n it is a witness, and its S_f is V minus x when
+    d(x, y) > m, so x is forced, and V otherwise, so nothing limits."""
+    dist, nbrs = img.dist_lists(), img.neighbor_masks
+    forced, refutes_all = 0, False
+    for x, row in enumerate(dist):
+        for y, d in enumerate(row):
+            if d > n and not nbrs[x] & ~(nbrs[y] | 1 << y):
+                forced |= (d > m) << x
+                refutes_all |= d <= m
+    return forced, refutes_all
 
 
 def find_minimal_limiting_sets(
@@ -167,51 +187,61 @@ def find_minimal_limiting_sets(
     A subset is skipped when it holds a found set or lies inside the S_f
     of a stored witness.  A search that finds a witness stores its S_f;
     only maximal S_f masks are kept, since one inside another refutes
-    nothing more.
+    nothing more.  The first masks come before any search, from the
+    single-vertex moves of _forced_points: V minus x for each forced
+    point x, so the scan visits only the supersets of F and counts the
+    other subsets of each size it reaches as skipped.  When a move
+    refutes every subset (its S_f is V), or F has more than size_cap
+    vertices, those masks decide every subset up to the cap, and the
+    result is complete with no set and no node.
 
-    A search that exhausts proves its subset A minimal.  Every proper
-    subset B of A is smaller, so the scan reached it earlier.  B holds no
-    found set F, or F would lie in A too and A would have been skipped;
-    for the same reason B itself was not found.  So B was refuted, by a
-    search or by a stored S_f, and no proper subset of A is limiting.
-    Conversely a minimal limiting set L holds no other found set (that
-    set would be a limiting proper subset) and lies in no S_f (that
-    witness would refute it), so L is searched and found.  The sets are
-    therefore exactly those of a scan that searches every subset.
+    A search that exhausts proves its subset A minimal.  A proper subset
+    B of A lies in a first mask when it misses a forced point, and was
+    reached earlier otherwise, being smaller.  B holds no found set G, or
+    G would lie in A too and A would have been skipped; for the same
+    reason B itself was not found.  So B was refuted, by a search or by a
+    stored S_f, and no proper subset of A is limiting.  Conversely a
+    minimal limiting set L holds no other found set (that set would be a
+    limiting proper subset) and lies in no S_f (that witness would refute
+    it), so L is searched and found.  The sets are therefore exactly
+    those of a scan that searches every subset.
 
-    nodes counts only the searches that ran, and node_budget, which must
-    be nonnegative, caps their total: each search gets what the earlier
-    ones left.  On a complete result, searched + skipped is the number of
+    The query is checked once, before the forced points are read.  nodes
+    counts only the searches that ran, and node_budget, which must be
+    nonnegative, caps their total: each search gets what the earlier ones
+    left.  On a complete result, searched + skipped is the number of
     subsets with at most size_cap vertices.
     """
     if size_cap < 0:
         raise ValueError("size cap must be nonnegative")
     if node_budget < 0:
         raise ValueError("node budget must be nonnegative")
+    viol = _query_viol(img, m, n, max_vertices)
+    forced, refutes_all = _forced_points(img, m, n)
+    rest = [x for x in range(img.n) if not forced >> x & 1]
+    k = img.n + 1 if refutes_all else img.n - len(rest)  # least size visited
+    top = min(size_cap, img.n)
+    dist = img.dist_lists()
     found: list[SubsetMask] = []
-    refuted: list[SubsetMask] = []  # maximal S_f masks of the witnesses
-    nodes = searched = skipped = 0
-    for size in range(min(size_cap, img.n) + 1):
-        for combo in itertools.combinations(range(img.n), size):
-            mask = mask_from_indices(combo)
+    refuted: list[SubsetMask] = []  # maximal S_f masks of the searched witnesses
+    nodes = searched = 0
+    skipped = sum(math.comb(img.n, size) for size in range(min(k, top + 1)))
+    for size in range(k, top + 1):
+        skipped += math.comb(img.n, size) - math.comb(len(rest), size - k)
+        for combo in itertools.combinations(rest, size - k):
+            mask = forced | mask_from_indices(combo)
             if _decided(mask, found, refuted):
                 skipped += 1
                 continue
-            v = is_limiting(
-                img, mask, m, n, node_budget=node_budget - nodes, max_vertices=max_vertices
-            )
+            v = _search(img, mask, m, viol, node_budget - nodes)
             searched += 1
             nodes += v.nodes
-            if v.holds is None:
+            if v.status == "budget":
                 return MinimalSetResult(found, False, nodes, searched, skipped)
-            if v.holds:
+            if v.status == "exhausted":
                 found.append(mask)
                 continue
-            dist = img.dist_lists()
-            table = v.witness.table
-            s_f = mask_from_indices(
-                x for x in range(img.n) if dist[x][table[x]] <= m
-            )
+            s_f = mask_from_indices(x for x, y in enumerate(v.witness.table) if dist[x][y] <= m)
             refuted = [s for s in refuted if s & ~s_f] + [s_f]
     return MinimalSetResult(found, True, nodes, searched, skipped)
 

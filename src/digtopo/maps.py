@@ -304,21 +304,10 @@ def _bfs_order_from(img: DigitalImage, mask: SubsetMask) -> list[int]:
     return sorted(range(img.n), key=da.__getitem__)
 
 
-def _counterexample_tables(
-    img: DigitalImage,
-    subset: SubsetMask,
-    m: int,
-    n: int,
-    max_vertices: int,
-    nodes: list[int] | None = None,
-    cap: float = math.inf,
-) -> Iterator[tuple[int, ...]]:
-    """Validate a limiting query and return the kernel over its
-    counterexample tables: vertices assigned breadth-first from the
-    subset, subset vertices kept within m, and some vertex moved more
-    than n.  A query no candidate can violate returns an empty iterator
-    before any node is counted."""
-    check_mask(img, subset)
+def _query_viol(img: DigitalImage, m: int, n: int, max_vertices: int) -> list[int]:
+    """Check a limiting query, once for all its subsets, and return viol:
+    for each vertex, the vertices farther than n from it.  The vertex cap
+    is checked before any distance is read."""
     if m < 0 or n < 0:
         raise ValueError("displacement bounds must be nonnegative")
     _check_vertex_cap("search", max_vertices, img.n)
@@ -326,16 +315,42 @@ def _counterexample_tables(
         raise Disconnected("counterexample search requires a connected image")
     # The image is connected, so a radius past its diameter allows every
     # vertex and a violation past it is impossible.
+    full = (1 << img.n) - 1
+    return [full & ~by_r[n] if n < len(by_r) else 0 for by_r in img.ball_masks()]
+
+
+def _counterexample_tables(
+    img: DigitalImage, subset: SubsetMask, m: int, viol: Sequence[int],
+    nodes: list[int] | None = None, cap: float = math.inf,
+) -> Iterator[tuple[int, ...]]:
+    """The kernel over one subset's counterexample tables, for a checked
+    query: vertices assigned breadth-first from the subset, subset
+    vertices kept within m, and some vertex placed on a value in viol.
+    A subset that cannot violate gives an empty iterator and no node."""
     balls = img.ball_masks()
     full = (1 << img.n) - 1
     cand = [full] * img.n
     for a in _bits(subset):
         cand[a] = balls[a][m] if m < len(balls[a]) else full
-    viol = [full & ~by_r[n] if n < len(by_r) else 0 for by_r in balls]
     if not any(c & w for c, w in zip(cand, viol)):
         return iter(())
     order = _bfs_order_from(img, subset)
     return _assignments(img.dist_lists(), balls, order, cand, viol, nodes, cap)
+
+
+def _search(
+    img: DigitalImage, subset: SubsetMask, m: int, viol: Sequence[int], node_budget: int
+) -> SearchOutcome:
+    """First counterexample for one subset of a checked query."""
+    nodes = [0]
+    tables = _counterexample_tables(img, subset, m, viol, nodes, node_budget)
+    try:
+        w = next(tables, None)
+    except _CapHit:
+        return SearchOutcome("budget", None, node_budget)
+    if w is None:
+        return SearchOutcome("exhausted", None, nodes[0])
+    return SearchOutcome("witness", MapTable(img, img, w), nodes[0])
 
 
 def run_counterexample_search(
@@ -357,15 +372,8 @@ def run_counterexample_search(
     """
     if node_budget < 0:
         raise ValueError("node budget must be nonnegative")
-    nodes = [0]
-    tables = _counterexample_tables(img, subset, m, n, max_vertices, nodes, node_budget)
-    try:
-        w = next(tables, None)
-    except _CapHit:
-        return SearchOutcome("budget", None, node_budget)
-    if w is None:
-        return SearchOutcome("exhausted", None, nodes[0])
-    return SearchOutcome("witness", MapTable(img, img, w), nodes[0])
+    check_mask(img, subset)
+    return _search(img, subset, m, _query_viol(img, m, n, max_vertices), node_budget)
 
 
 def search_counterexample(
@@ -401,7 +409,8 @@ def iter_counterexamples(
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> Iterator[MapTable]:
     """All counterexamples for the query, in deterministic search order."""
-    tables = _counterexample_tables(img, subset, m, n, max_vertices)
+    check_mask(img, subset)
+    tables = _counterexample_tables(img, subset, m, _query_viol(img, m, n, max_vertices))
     return (MapTable(img, img, t) for t in tables)
 
 

@@ -168,6 +168,17 @@ def test_find_minimal_report_shape(write_json, capsys):
     assert re.search(r"\(\d+ nodes, \d+ subsets searched, \d+ skipped, \d+ ms\)$", first)
 
 
+def test_find_minimal_refuses_a_disconnected_image(write_json, capsys):
+    """Both isolated vertices are forced points, more than the cap of 1,
+    yet the query is refused as disconnected."""
+    img = write_json("two.json", {"constructor": "explicit", "n": 2, "edges": []})
+    code = run(["find-minimal", "--image", img, "--m", "0", "--n", "0",
+                "--size-cap", "1", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "connected" in captured.err
+
+
 def test_profile(square_files, capsys):
     img, corners = square_files
     code = run(["profile", "--image", img, "--set", corners, "--m", "1", "--json"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ import oracle
 from digtopo.errors import (
     BadCycleLength,
     BudgetExceeded,
+    Disconnected,
     NotAProduct,
     NotAValidTriple,
     NotEmbedded,
@@ -34,6 +36,7 @@ from digtopo.image import (
 from digtopo.maps import displacement, is_continuous, is_n_map_on, search_counterexample
 from digtopo.limiting import (
     LimitingVerdict,
+    _forced_points,
     boundary_cold_condition,
     cover_displacement_bound,
     cycle_triple_bound,
@@ -264,6 +267,69 @@ def test_find_minimal_matches_plain_scan(build, m, n, cap):
     assert r.searched + r.skipped == sum(
         math.comb(img.n, k) for k in range(min(cap, img.n) + 1)
     )
+
+
+@pytest.mark.parametrize(
+    "build, m, error",
+    [
+        (lambda: build_explicit(2, []), 0, Disconnected),
+        (lambda: build_box([(0, 16)], 1), 0, BudgetExceeded),
+        (lambda: build_box([(0, 2), (0, 2)], 1), -1, ValueError),
+    ],
+    ids=["two-components", "17-vertices", "negative-m"],
+)
+def test_find_minimal_validates_queries_that_forced_points_decide(build, m, error):
+    """Each image's forced points alone would decide every subset up to
+    the cap of 1 (both isolated vertices, both path ends, four corners),
+    so these queries raise only because they are checked first."""
+    with pytest.raises(error):
+        find_minimal_limiting_sets(build(), m, 0, 1)
+
+
+def _atlas_images():
+    """Every connected graph of the networkx atlas on 2 to 6 vertices."""
+    return [
+        build_explicit(g.number_of_nodes(), list(g.edges()))
+        for g in nx.graph_atlas_g()
+        if 2 <= g.number_of_nodes() <= 6 and nx.is_connected(g)
+    ]
+
+
+def _forced_points_by_brute_force(img, m, n):
+    """Forced points and whether some move refutes every subset, from
+    each single-vertex move's table checked by the oracle."""
+    adj = oracle.adjacency_sets(img)
+    dist = oracle.all_distances(img)
+    forced, refutes_all = 0, False
+    for x in range(img.n):
+        for y in range(img.n):
+            table = [y if z == x else z for z in range(img.n)]
+            if x == y or not oracle.is_continuous_table(adj, adj, table):
+                continue
+            if dist[x][y] > max(m, n):
+                forced |= 1 << x
+            elif dist[x][y] > n:
+                refutes_all = True
+    return forced, refutes_all
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1)])
+def test_forced_points_on_the_atlas(m, n):
+    """On every connected atlas graph up to 6 vertices: F equals the
+    brute force, every minimal set holds it, and find-minimal lists the
+    sets of the plain scan, in its order, with every subset counted."""
+    images = _atlas_images()
+    assert len(images) == 142
+    for img in images:
+        forced, refutes_all = _forced_points(img, m, n)
+        assert (forced, refutes_all) == _forced_points_by_brute_force(img, m, n)
+        r = find_minimal_limiting_sets(img, m, n, img.n)
+        assert r.complete
+        assert all(s & forced == forced for s in r.sets)
+        assert r.sets == _minimal_sets_by_plain_scan(img, m, n, img.n)
+        assert r.searched + r.skipped == 2 ** img.n
+        if refutes_all:
+            assert (r.sets, r.nodes, r.searched) == ([], 0, 0)
 
 
 # -- profiles --------------------------------------------------------------
