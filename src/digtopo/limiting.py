@@ -39,10 +39,8 @@ from .maps import (
     DEFAULT_NODE_BUDGET,
     MapTable,
     SearchOutcome,
-    _query_viol,
-    _search,
+    _Query,
     cycle_indexing,
-    displacement,
     run_counterexample_search,
 )
 
@@ -108,26 +106,21 @@ def is_minimal_limiting(
 
     Limitedness is monotone in the subset, so a limiting proper subset is
     always contained in some single deletion; checking deletions suffices.
-    node_budget caps the nodes of all these searches together: each gets
-    what the earlier ones left.
+    The query is checked once, and node_budget caps the nodes of all these
+    searches together: each gets what the earlier ones left.
     """
-    base = is_limiting(
-        img, subset, m, n, node_budget=node_budget, max_vertices=max_vertices
-    )
-    if base.holds is None or base.holds is False:
+    q = _Query(img, m, n, node_budget, max_vertices)
+    base = _verdict(q.search(subset))
+    if base.holds is not True:
         return base
-    nodes = base.nodes
     for a in _bits(subset):
         smaller = subset & ~(1 << a)
-        sub = is_limiting(
-            img, smaller, m, n, node_budget=node_budget - nodes, max_vertices=max_vertices
-        )
-        nodes += sub.nodes
-        if sub.holds is None:
-            return LimitingVerdict(None, None, nodes)
-        if sub.holds:
-            return LimitingVerdict(False, None, nodes, subset_witness=smaller)
-    return LimitingVerdict(True, None, nodes)
+        status = q.search(smaller).status
+        if status == "budget":
+            return LimitingVerdict(None, None, q.nodes[0])
+        if status == "exhausted":
+            return LimitingVerdict(False, None, q.nodes[0], subset_witness=smaller)
+    return LimitingVerdict(True, None, q.nodes[0])
 
 
 class MinimalSetResult(NamedTuple):
@@ -206,17 +199,15 @@ def find_minimal_limiting_sets(
     it), so L is searched and found.  The sets are therefore exactly
     those of a scan that searches every subset.
 
-    The query is checked once, before the forced points are read.  nodes
-    counts only the searches that ran, and node_budget, which must be
-    nonnegative, caps their total: each search gets what the earlier ones
-    left.  On a complete result, searched + skipped is the number of
-    subsets with at most size_cap vertices.
+    The query is checked once, before the forced points are read, and has
+    one budget.  nodes counts only the searches that ran, and node_budget,
+    which must be nonnegative, caps their total: each search gets what the
+    earlier ones left.  On a complete result, searched + skipped is the
+    number of subsets with at most size_cap vertices.
     """
     if size_cap < 0:
         raise ValueError("size cap must be nonnegative")
-    if node_budget < 0:
-        raise ValueError("node budget must be nonnegative")
-    viol = _query_viol(img, m, n, max_vertices)
+    q = _Query(img, m, n, node_budget, max_vertices)
     forced, refutes_all = _forced_points(img, m, n)
     rest = [x for x in range(img.n) if not forced >> x & 1]
     k = img.n + 1 if refutes_all else img.n - len(rest)  # least size visited
@@ -224,7 +215,7 @@ def find_minimal_limiting_sets(
     dist = img.dist_lists()
     found: list[SubsetMask] = []
     refuted: list[SubsetMask] = []  # maximal S_f masks of the searched witnesses
-    nodes = searched = 0
+    searched = 0
     skipped = sum(math.comb(img.n, size) for size in range(min(k, top + 1)))
     for size in range(k, top + 1):
         skipped += math.comb(img.n, size) - math.comb(len(rest), size - k)
@@ -233,17 +224,16 @@ def find_minimal_limiting_sets(
             if _decided(mask, found, refuted):
                 skipped += 1
                 continue
-            v = _search(img, mask, m, viol, node_budget - nodes)
+            v = q.search(mask)
             searched += 1
-            nodes += v.nodes
             if v.status == "budget":
-                return MinimalSetResult(found, False, nodes, searched, skipped)
+                return MinimalSetResult(found, False, q.nodes[0], searched, skipped)
             if v.status == "exhausted":
                 found.append(mask)
                 continue
             s_f = mask_from_indices(x for x, y in enumerate(v.witness.table) if dist[x][y] <= m)
             refuted = [s for s in refuted if s & ~s_f] + [s_f]
-    return MinimalSetResult(found, True, nodes, searched, skipped)
+    return MinimalSetResult(found, True, q.nodes[0], searched, skipped)
 
 
 def _decided(mask: SubsetMask, found: list[SubsetMask], refuted: list[SubsetMask]) -> bool:
@@ -270,21 +260,19 @@ def limiting_profile(
     Starts at n = 0.  A witness f keeps the subset within m and moves some
     vertex D(f) > n, so it refutes every n below D(f), and the next n
     tried is D(f).  No map moves a vertex past the diameter, so the scan
-    ends.  node_budget caps the nodes of all its searches together; the
-    search makes the vertex-cap and connectivity checks, the cap before
-    any distance is read.
+    ends.  The query is checked once, the vertex cap before any distance
+    is read, and node_budget caps the nodes of all its searches together.
     """
-    n = nodes = 0
+    n = 0
+    q = _Query(img, m, n, node_budget, max_vertices)
     while True:
-        v = is_limiting(
-            img, subset, m, n, node_budget=node_budget - nodes, max_vertices=max_vertices
-        )
-        nodes += v.nodes
-        if v.holds is None:
-            raise BudgetExceeded(f"profile undecided at n={n} after {nodes} nodes")
-        if v.holds:
+        v = q.search(subset)
+        if v.status == "budget":
+            raise BudgetExceeded(f"profile undecided at n={n} after {q.nodes[0]} nodes")
+        if v.status == "exhausted":
             return n
-        n = displacement(v.witness)
+        n = max(row[y] for row, y in zip(img.dist_lists(), v.witness.table))
+        q.set_n(n)
 
 
 # -- cycle bounds ----------------------------------------------------------
@@ -421,7 +409,8 @@ def factor_limitedness(
 
     Requires an image built by product() using the full normal product
     (u equal to the factor count); the transfer from product to factors
-    is only valid there.
+    is only valid there.  The product and each factor are separate
+    queries, each checked on its own and given the full node_budget.
     """
     if prod.factors is None or prod.factor_tuples is None:
         raise NotAProduct("image does not carry product structure")

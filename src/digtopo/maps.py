@@ -304,53 +304,57 @@ def _bfs_order_from(img: DigitalImage, mask: SubsetMask) -> list[int]:
     return sorted(range(img.n), key=da.__getitem__)
 
 
-def _query_viol(img: DigitalImage, m: int, n: int, max_vertices: int) -> list[int]:
-    """Check a limiting query, once for all its subsets, and return viol:
-    for each vertex, the vertices farther than n from it.  The vertex cap
-    is checked before any distance is read."""
-    if m < 0 or n < 0:
-        raise ValueError("displacement bounds must be nonnegative")
-    _check_vertex_cap("search", max_vertices, img.n)
-    if not img.is_connected():
-        raise Disconnected("counterexample search requires a connected image")
-    # The image is connected, so a radius past its diameter allows every
-    # vertex and a violation past it is impossible.
-    full = (1 << img.n) - 1
-    return [full & ~by_r[n] if n < len(by_r) else 0 for by_r in img.ball_masks()]
+class _Query:
+    """One limiting query, checked once, the vertex cap before any distance:
+    the image, m, viol (for each vertex, the vertices farther than n from
+    it), and the node counter and budget that all its searches share."""
 
+    def __init__(
+        self, img: DigitalImage, m: int, n: int, node_budget: float, max_vertices: int
+    ) -> None:
+        if node_budget < 0:
+            raise ValueError("node budget must be nonnegative")
+        if m < 0 or n < 0:
+            raise ValueError("displacement bounds must be nonnegative")
+        _check_vertex_cap("search", max_vertices, img.n)
+        if not img.is_connected():
+            raise Disconnected("counterexample search requires a connected image")
+        self.img, self.m, self.full = img, m, (1 << img.n) - 1
+        self.budget, self.nodes = node_budget, [0]
+        self.set_n(n)
 
-def _counterexample_tables(
-    img: DigitalImage, subset: SubsetMask, m: int, viol: Sequence[int],
-    nodes: list[int] | None = None, cap: float = math.inf,
-) -> Iterator[tuple[int, ...]]:
-    """The kernel over one subset's counterexample tables, for a checked
-    query: vertices assigned breadth-first from the subset, subset
-    vertices kept within m, and some vertex placed on a value in viol.
-    A subset that cannot violate gives an empty iterator and no node."""
-    balls = img.ball_masks()
-    full = (1 << img.n) - 1
-    cand = [full] * img.n
-    for a in _bits(subset):
-        cand[a] = balls[a][m] if m < len(balls[a]) else full
-    if not any(c & w for c, w in zip(cand, viol)):
-        return iter(())
-    order = _bfs_order_from(img, subset)
-    return _assignments(img.dist_lists(), balls, order, cand, viol, nodes, cap)
+    def set_n(self, n: int) -> None:
+        # The image is connected, so a radius past its diameter allows every
+        # vertex and a violation past it is impossible.
+        balls = self.img.ball_masks()
+        self.viol = [self.full & ~by_r[n] if n < len(by_r) else 0 for by_r in balls]
 
+    def tables(self, subset: SubsetMask) -> Iterator[tuple[int, ...]]:
+        """One subset's counterexample tables: vertices assigned
+        breadth-first from the subset, subset vertices kept within m, and
+        some vertex placed on a value in viol.  A subset that cannot
+        violate gives an empty iterator and no node."""
+        check_mask(self.img, subset)
+        balls = self.img.ball_masks()
+        cand = [self.full] * self.img.n
+        for a in _bits(subset):
+            cand[a] = balls[a][self.m] if self.m < len(balls[a]) else self.full
+        if not any(c & w for c, w in zip(cand, self.viol)):
+            return iter(())
+        dist, order = self.img.dist_lists(), _bfs_order_from(self.img, subset)
+        return _assignments(dist, balls, order, cand, self.viol, self.nodes, self.budget)
 
-def _search(
-    img: DigitalImage, subset: SubsetMask, m: int, viol: Sequence[int], node_budget: int
-) -> SearchOutcome:
-    """First counterexample for one subset of a checked query."""
-    nodes = [0]
-    tables = _counterexample_tables(img, subset, m, viol, nodes, node_budget)
-    try:
-        w = next(tables, None)
-    except _CapHit:
-        return SearchOutcome("budget", None, node_budget)
-    if w is None:
-        return SearchOutcome("exhausted", None, nodes[0])
-    return SearchOutcome("witness", MapTable(img, img, w), nodes[0])
+    def search(self, subset: SubsetMask) -> SearchOutcome:
+        """First counterexample for one subset, with the nodes it spent."""
+        start = self.nodes[0]
+        try:
+            w = next(self.tables(subset), None)
+        except _CapHit:
+            self.nodes[0] = self.budget
+            return SearchOutcome("budget", None, self.budget - start)
+        if w is None:
+            return SearchOutcome("exhausted", None, self.nodes[0] - start)
+        return SearchOutcome("witness", MapTable(self.img, self.img, w), self.nodes[0] - start)
 
 
 def run_counterexample_search(
@@ -370,10 +374,7 @@ def run_counterexample_search(
     assignments have been tried.  A negative node_budget raises
     ValueError.
     """
-    if node_budget < 0:
-        raise ValueError("node budget must be nonnegative")
-    check_mask(img, subset)
-    return _search(img, subset, m, _query_viol(img, m, n, max_vertices), node_budget)
+    return _Query(img, m, n, node_budget, max_vertices).search(subset)
 
 
 def search_counterexample(
@@ -409,8 +410,7 @@ def iter_counterexamples(
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> Iterator[MapTable]:
     """All counterexamples for the query, in deterministic search order."""
-    check_mask(img, subset)
-    tables = _counterexample_tables(img, subset, m, _query_viol(img, m, n, max_vertices))
+    tables = _Query(img, m, n, math.inf, max_vertices).tables(subset)
     return (MapTable(img, img, t) for t in tables)
 
 

@@ -19,6 +19,7 @@ from digtopo.errors import (
     NotEmbedded,
 )
 from digtopo.image import (
+    DigitalImage,
     boundary,
     build_box,
     build_cycle,
@@ -33,7 +34,14 @@ from digtopo.image import (
     metric,
     product,
 )
-from digtopo.maps import displacement, is_continuous, is_n_map_on, search_counterexample
+from digtopo.maps import (
+    displacement,
+    is_continuous,
+    is_n_map_on,
+    iter_counterexamples,
+    run_counterexample_search,
+    search_counterexample,
+)
 from digtopo.limiting import (
     LimitingVerdict,
     _forced_points,
@@ -212,6 +220,23 @@ def test_find_minimal_budget_caps_searches_that_run(cycle8):
     assert cut.nodes == full.nodes - 1
 
 
+@pytest.mark.parametrize(
+    "build, m, n",
+    [(lambda: build_box([(0, 7), (0, 1)], 2), 1, 2), (lambda: build_cycle(16)[0], 2, 2)],
+    ids=["box8x2c2_12", "cycle16_22"],
+)
+def test_find_minimal_budget_caps_searches_on_families_that_still_search(build, m, n):
+    """The two benchmark find-minimal families whose forced points leave
+    searches to run, at size cap 4: one budget caps them all, as on C8."""
+    img = build()
+    full = find_minimal_limiting_sets(img, m, n, 4)
+    assert full.complete and full.searched
+    assert find_minimal_limiting_sets(img, m, n, 4, node_budget=full.nodes) == full
+    cut = find_minimal_limiting_sets(img, m, n, 4, node_budget=full.nodes - 1)
+    assert not cut.complete
+    assert cut.nodes == full.nodes - 1
+
+
 def test_find_minimal_budget_equal_to_a_zero_total_decides(cycle8):
     """n = 4 is the diameter of C8, so every search decides without a node;
     a budget of 0 still leaves each its 0 nodes."""
@@ -228,6 +253,88 @@ def test_negative_budget_is_refused_by_every_search_entry(cycle8):
         is_limiting(cycle8, subset, 0, 0, node_budget=-1)
     zero = find_minimal_limiting_sets(cycle8, 0, 0, 3, node_budget=0)
     assert (zero.complete, zero.nodes, zero.sets) == (False, 0, [])
+
+
+#: Every search-backed entry point as f(img, subset, m, n, **kw).  The
+#: profile takes no n, find-minimal no subset, and iter_counterexamples
+#: no budget; the rows below give each only the bad inputs it can take.
+_SEARCH_ENTRIES = {
+    "run_counterexample_search": run_counterexample_search,
+    "search_counterexample": search_counterexample,
+    "iter_counterexamples": iter_counterexamples,
+    "is_limiting": is_limiting,
+    "is_minimal_limiting": is_minimal_limiting,
+    "limiting_profile": lambda img, s, m, n, **kw: limiting_profile(img, s, m, **kw),
+    "find_minimal_limiting_sets": lambda img, s, m, n, **kw: find_minimal_limiting_sets(
+        img, m, n, 3, **kw
+    ),
+}
+_BAD_INPUTS = {
+    "budget": ValueError,
+    "m": ValueError,
+    "n": ValueError,
+    "mask": ValueError,
+    "disconnected": Disconnected,
+    "vertex_cap": BudgetExceeded,
+}
+_NOT_TAKEN = {
+    "iter_counterexamples": {"budget"},
+    "limiting_profile": {"n"},
+    "find_minimal_limiting_sets": {"mask"},
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        (entry, bad)
+        for entry in _SEARCH_ENTRIES
+        for bad in _BAD_INPUTS
+        if bad not in _NOT_TAKEN.get(entry, ())
+    ],
+)
+def test_every_search_entry_refuses_each_bad_input(cycle8, entry, bad):
+    """Each bad input on its own, on an otherwise valid query, raises the
+    same exception from every entry point; the vertex cap is checked
+    before the metric is built."""
+    img, subset, m, n, kw = cycle8, mask_from_indices([0, 3, 5]), 0, 0, {}
+    if bad == "budget":
+        kw = {"node_budget": -1}
+    elif bad == "m":
+        m = -1
+    elif bad == "n":
+        n = -1
+    elif bad == "mask":
+        subset = 1 << img.n
+    elif bad == "disconnected":
+        img, subset = build_explicit(2, []), 1
+    else:
+        img = build_box([(0, 63), (0, 63)], 2)
+        subset = mask_from_points(img, [(0, 0)])
+    with pytest.raises(_BAD_INPUTS[bad]):
+        _SEARCH_ENTRIES[entry](img, subset, m, n, **kw)
+    if bad == "vertex_cap":
+        assert img._dist_lists is None
+
+
+def test_each_query_checks_connectivity_once(monkeypatch, square_c1, cycle8):
+    """A minimality check, a profile and a find-minimal scan each check
+    their query once, however many searches they run."""
+    calls = []
+    is_connected = DigitalImage.is_connected
+    monkeypatch.setattr(
+        DigitalImage, "is_connected", lambda img: calls.append(img) or is_connected(img)
+    )
+    corners = mask_from_points(square_c1, [(0, 0), (0, 2), (2, 0), (2, 2)])
+    assert is_minimal_limiting(square_c1, corners, 0, 0).holds
+    assert len(calls) == 1
+    calls.clear()
+    c12, _ = build_cycle(12)
+    assert limiting_profile(c12, mask_from_indices([0, 4]), 0) == 6
+    assert len(calls) == 1
+    calls.clear()
+    assert find_minimal_limiting_sets(cycle8, 0, 0, 3).searched > 1
+    assert len(calls) == 1
 
 
 def _minimal_sets_by_plain_scan(img, m, n, cap):
