@@ -7,17 +7,16 @@ errors.  With --json each command emits exactly one JSON object with a
 timing is reported only in the human-readable form.
 
 Each command is declared once, in COMMANDS, with the flags it takes from
-_FLAGS; any other flag, an abbreviation of one included, is a usage
-error.
+_FLAGS; _parse reads both.  Any other flag, an abbreviation of one
+included, is a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 import time
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 from . import fileio, limiting, maps, metrics
@@ -33,69 +32,50 @@ EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
 
 
-class _ArgError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _ArgError(message)
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
 def _budget(text: str) -> int:
     """A budget argument: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"budget must be nonnegative, got {value}")
+        raise ValueError(f"budget must be nonnegative, got {value}")
     return value
 
 
-#: add_argument keywords of every flag.  Each dest is the key the flag has
-#: in the JSON query; --s is the n of a (0, s)-limiting query.
+#: (dest, reader, default) of every flag.  Each dest is the key the flag has
+#: in the JSON query; --s is the n of a (0, s)-limiting query.  A switch has
+#: no reader and takes no value; a flag with no default is required.
 _FLAGS = {
-    "--image": dict(required=True),
-    "--set": dict(required=True),
-    "--set0": dict(required=True),
-    "--set1": dict(required=True),
-    "--m": dict(required=True, type=int),
-    "--n": dict(required=True, type=int),
-    "--s": dict(required=True, type=int, dest="n"),
-    "--size-cap": dict(required=True, type=int),
-    "--v": dict(required=True, type=int),
-    "--minimal": dict(action="store_true", help="also require minimality"),
-    "--budget-nodes": dict(type=_budget, default=maps.DEFAULT_NODE_BUDGET,
-                           help="cap on attempted assignments, over all searches"),
-    "--budget-maps": dict(type=_budget, default=maps.DEFAULT_MAX_VISITED,
-                          help="cap on maps enumerated"),
-    "--json": dict(action="store_true", help="emit one JSON report"),
-    "--threads": dict(type=int, default=1,
-                      help="accepted and ignored; searches run single-threaded"),
+    "--image": ("image", str, None),
+    "--set": ("set", str, None),
+    "--set0": ("set0", str, None),
+    "--set1": ("set1", str, None),
+    "--m": ("m", _int, None),
+    "--n": ("n", _int, None),
+    "--s": ("n", _int, None),
+    "--size-cap": ("size_cap", _int, None),
+    "--v": ("v", _int, None),
+    "--minimal": ("minimal", None, False),
+    "--budget-nodes": ("budget_nodes", _budget, maps.DEFAULT_NODE_BUDGET),
+    "--budget-maps": ("budget_maps", _budget, maps.DEFAULT_MAX_VISITED),
+    "--json": ("json", None, False),
+    "--threads": ("threads", _int, 1),  # accepted and ignored
 }
 
-#: Flags that steer a command without entering its JSON query.
-_CONTROLS = ("--budget-nodes", "--budget-maps", "--json", "--threads")
+#: Namespace keys kept out of the JSON query: the command and its controls.
+_CONTROLS = ("command", "budget_nodes", "budget_maps", "json", "threads")
 
 
 def _witness_json(f: MapTable) -> dict:
-    moves = [
-        [f.domain.vertex_label(i), f.codomain.vertex_label(v)]
-        for i, v in enumerate(f.table)
-        if i != v or f.domain != f.codomain
-    ]
+    """A witness self-map's table and the vertices it moves, as labels."""
+    label = f.domain.vertex_label
+    moves = [[label(i), label(v)] for i, v in enumerate(f.table) if i != v]
     return {"table": list(f.table), "moves": moves}
-
-
-def _witness_lines(f: MapTable) -> list[str]:
-    out = []
-    for i, v in enumerate(f.table):
-        if v != i:
-            out.append(f"  {f.domain.vertex_label(i)} -> {f.codomain.vertex_label(v)}")
-    if not out:
-        out.append("  (identity)")
-    return out
 
 
 class _Report(NamedTuple):
@@ -126,7 +106,7 @@ def _verify(args) -> _Report:
     }
     lines = []
     if v.witness is not None:
-        lines = ["witness:"] + _witness_lines(v.witness)
+        lines = ["witness:"] + [f"  {a} -> {b}" for a, b in fields["witness"]["moves"]]
     if v.subset_witness is not None:
         fields["limiting_proper_subset"] = mask_indices(v.subset_witness)
         lines.append(f"smaller limiting subset: {mask_indices(v.subset_witness)}")
@@ -208,10 +188,10 @@ def _export_dot(args) -> _Report:
 class _Command(NamedTuple):
     """A command's handler, the flags it takes besides --json and
     --threads, and the query values it fixes.  Its JSON query echoes those
-    values and every flag not in _CONTROLS; an echo of False leaves the
-    query out."""
+    values and every flag it takes but the _CONTROLS; an echo of False
+    leaves the query out."""
 
-    handler: Callable[[argparse.Namespace], _Report]
+    handler: Callable[[SimpleNamespace], _Report]
     flags: str
     fixed: dict = {}
     echo: bool = True
@@ -232,32 +212,54 @@ COMMANDS = {
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process from COMMANDS and
-    _FLAGS; parsing leaves it unchanged, so every run() shares it.  Each
-    subparser records the dests of its query as its query default."""
-    parser = _Parser(
-        prog="digtopo", description="digital image map analysis", allow_abbrev=False
-    )
-    sub = parser.add_subparsers(dest="command")
-    for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, allow_abbrev=False)
-        query = list(cmd.fixed)
-        for flag in cmd.flags.split() + ["--json", "--threads"]:
-            action = p.add_argument(flag, **_FLAGS[flag])
-            if flag not in _CONTROLS:
-                query.append(action.dest)
-        p.set_defaults(query=tuple(query) if cmd.echo else (), **cmd.fixed)
-    return parser
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The command named first, its fixed values, and each flag's value or
+    default under its dest; None once -h or --help printed the usage.  A
+    usage error raises ValueError in argparse's words: a bad value where
+    it is met, then missing required flags, then unknown tokens."""
+    if not argv:
+        raise ValueError("a command is required")
+    if "-h" in argv or "--help" in argv:
+        for name in argv[:1] if argv[0] in COMMANDS else COMMANDS:
+            flags = COMMANDS[name].flags.split() + ["--json", "--threads"]
+            words = [flag if _FLAGS[flag][2] is None else f"[{flag}]" for flag in flags]
+            print("usage: digtopo", name, *words)
+        return None
+    if argv[0] not in COMMANDS:
+        raise ValueError(f"invalid command {argv[0]!r} (choose from {', '.join(COMMANDS)})")
+    taken = COMMANDS[argv[0]].flags.split() + ["--json", "--threads"]
+    args = SimpleNamespace(command=argv[0], **COMMANDS[argv[0]].fixed)
+    vars(args).update((_FLAGS[flag][0], _FLAGS[flag][2]) for flag in taken)
+    unknown = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in taken or eq and _FLAGS[flag][1] is None:  # a switch takes no value
+            unknown.append(token)
+            continue
+        dest, reader, _ = _FLAGS[flag]
+        if reader is not None and not eq:
+            value = next(tokens, None)  # a negative int, but no other flag, is a value
+            if value is None or value[:1] == "-" and not value[1:].isdecimal():
+                raise ValueError(f"argument {flag}: expected one argument")
+        try:
+            setattr(args, dest, True if reader is None else reader(value))
+        except ValueError as exc:
+            raise ValueError(f"argument {flag}: {exc}") from None
+    missing = [flag for flag in taken if getattr(args, _FLAGS[flag][0]) is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def _emit(args, r: _Report, started: float) -> int:
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     if args.json:
         report = {"schema": SCHEMA, "command": args.command}
-        if args.query:
-            report["query"] = {key: getattr(args, key) for key in args.query}
+        if COMMANDS[args.command].echo:
+            report["query"] = {k: v for k, v in vars(args).items() if k not in _CONTROLS}
         report.update(r.fields)
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
@@ -271,16 +273,12 @@ def _emit(args, r: _Report, started: float) -> int:
 
 def run(argv: list[str]) -> int:
     """Parse and execute one invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise _ArgError("a command is required")
+        args = _parse(argv)
+        if args is None:
+            return 0
         started = time.perf_counter()
         return _emit(args, COMMANDS[args.command].handler(args), started)
-    except _ArgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN

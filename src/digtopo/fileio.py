@@ -16,6 +16,7 @@ or [input, output] pairs (points for grid images, indices otherwise).
 from __future__ import annotations
 
 import json
+import os
 import re
 
 from .errors import DigitalTopologyError, InputFileError
@@ -34,6 +35,10 @@ from .maps import MapTable
 
 _ADJ_RE = re.compile(r"^c(\d+)$")
 
+#: The most bytes an input file may hold.  The edge list of every pair of
+#: 4096 vertices, the point budget, takes about 108 MiB.
+_MAX_FILE_BYTES = 1 << 27
+
 #: What malformed values raise inside the constructors: wrong types, bad
 #: literals and shapes, and non-finite numbers such as 1e400.
 _MALFORMED = (TypeError, ValueError, OverflowError)
@@ -47,8 +52,8 @@ def _ints(value, field: str, source: str):
     stack = [value]
     while stack:
         v = stack.pop()
-        if isinstance(v, list):
-            stack.extend(reversed(v))
+        if isinstance(v, list):  # plain ints need no visit; bools are pushed
+            stack.extend(x for x in reversed(v) if type(x) is not int)
         elif not isinstance(v, dict) and (isinstance(v, bool) or not isinstance(v, int)):
             raise InputFileError(
                 f"{source}: field {field!r} holds {json.dumps(v)[:40]}, which is no integer"
@@ -189,8 +194,14 @@ def load_map(path: str, dom: DigitalImage, cod: DigitalImage | None = None) -> M
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            # a regular file is read at its own size, so that a small one
+            # allocates no cap-sized buffer; a pipe or device reports size 0
+            size = os.fstat(fh.fileno()).st_size
+            raw = fh.read(min(size or _MAX_FILE_BYTES, _MAX_FILE_BYTES) + 1)
+        if len(raw) > _MAX_FILE_BYTES:
+            raise InputFileError(f"{path}: file is larger than {_MAX_FILE_BYTES} bytes")
+        return json.loads(raw.decode("utf-8"))
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # bad JSON or bytes, or an integer too long to read

@@ -40,6 +40,11 @@ INF = 0xFFFF
 #: Construction refuses images with more points than this.
 DEFAULT_POINT_BUDGET = 4096
 
+#: Construction refuses grids and products with more axes than this.  The
+#: neighbour fold costs points x axes x u, and a box of more than 12 axes
+#: of length 2 or more already exceeds the point budget.
+_MAX_AXES = 64
+
 #: Coordinates must satisfy |c| <= COORD_LIMIT.
 COORD_LIMIT = 1 << 30
 
@@ -291,6 +296,11 @@ def check_mask(img: DigitalImage, mask: SubsetMask) -> None:
 # -- constructors ----------------------------------------------------------
 
 
+def _check_axes(count: int, what: str) -> None:
+    if count > _MAX_AXES:
+        raise BudgetExceeded(f"{what} has more than {_MAX_AXES} axes")
+
+
 def _is_pair(value) -> bool:
     """A list or tuple of two entries; an object or string never is."""
     return isinstance(value, (list, tuple)) and len(value) == 2
@@ -372,6 +382,7 @@ def build_box(intervals: Sequence[Sequence[int]], u: int) -> DigitalImage:
     if not intervals:
         raise ValueError("a box needs at least one interval")
     dim = len(intervals)
+    _check_axes(dim, "box")
     if not 1 <= u <= dim:
         raise BadAdjacency(f"c_u requires 1 <= u <= {dim}, got u={u}")
     parsed = []
@@ -409,6 +420,7 @@ def build_from_points(
     if len(pts) > DEFAULT_POINT_BUDGET:
         raise BudgetExceeded(f"point set exceeds {DEFAULT_POINT_BUDGET} points")
     d = len(pts[0])
+    _check_axes(d, "point set")
     if not 1 <= u <= d:
         raise BadAdjacency(f"c_u requires 1 <= u <= {d}, got u={u}")
     masks = _neighbor_masks(pts, u, [_unit_steps] * d)
@@ -493,6 +505,9 @@ def product(imgs: Sequence[DigitalImage], u: int) -> DigitalImage:
     k = len(imgs)
     if k < 1:
         raise ValueError("a product needs at least one factor")
+    all_grid = all(f.is_grid for f in imgs)
+    # an embedded product has the factors' coordinates as its axes
+    _check_axes(sum(f.dim for f in imgs) if all_grid else k, "product")
     if not 1 <= u <= k:
         raise BadAdjacency(f"normal product requires 1 <= u <= {k}, got u={u}")
     count = 1
@@ -504,7 +519,6 @@ def product(imgs: Sequence[DigitalImage], u: int) -> DigitalImage:
     masks = _neighbor_masks(
         tuples, u, [lambda c, m=f.neighbor_masks: _bits(m[c]) for f in imgs]
     )
-    all_grid = all(f.is_grid for f in imgs)
     points = None
     if all_grid:
         points = tuple(

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import digtopo
-from digtopo.cli import COMMANDS, build_parser, run
+from digtopo.cli import COMMANDS, run
 from digtopo.fileio import parse_dot
 from digtopo.image import DEFAULT_POINT_BUDGET
 
@@ -100,17 +100,15 @@ def test_oversized_image_is_refused_before_building(write_json, capsys):
         assert f"more than {DEFAULT_POINT_BUDGET} vertices" in captured.err
 
 
-def test_parser_is_built_once(square_files, capsys):
+def test_runs_between_usage_errors_give_identical_output(square_files, capsys):
     img, corners = square_files
     argv = ["verify-cold", "--image", img, "--set", corners, "--s", "1", "--json"]
-    parser = build_parser()
     outputs = []
     for _ in range(3):
         assert run(argv) == 0
         outputs.append(capsys.readouterr().out)
         assert run(["verify-cold", "--image", img]) == 3
         capsys.readouterr()
-    assert build_parser() is parser
     assert len(set(outputs)) == 1
 
 
@@ -290,7 +288,8 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     root = os.path.dirname(os.path.dirname(os.path.abspath(digtopo.__file__)))
     code = (
         f"import sys; sys.path.insert(0, {root!r}); import digtopo, digtopo.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'argparse', 'gettext') "
+        "if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True
@@ -351,9 +350,81 @@ def test_abbreviated_flags_are_usage_errors(command_args, capsys):
         ["verify-freezing", "--ima", img, "--set", sub],
         ["verify-freezing", "--image", img, "--se", sub],
         ["verify-freezing", "--image", img, "--set", sub, "--js"],
+        [],
+        ["not-a-command", "--image", img],
+        ["--json"],
+        ["verify-freezing", "--json"],
+        ["verify-freezing", "--image"],
+        ["verify-freezing", "--image", img, "--set", sub, "--json=1"],
+        ["verify-freezing", "--image", img, "--set", sub, "--m", "x"],
+        ["verify-freezing", "--image", img, "--set", sub, "-x"],
+        ["verify-freezing", "--image", img, "--set", sub, "--", "--json"],
     ):
         assert run(argv) == 3, argv
         assert capsys.readouterr().out == "", argv
+
+
+def test_usage_errors_keep_their_messages(command_args, capsys):
+    """Bad values are reported where they are met, then missing required
+    flags, then unknown tokens."""
+    img, sub = command_args["verify-freezing"][1], command_args["verify-freezing"][3]
+    for argv, err in (
+        ([], "a command is required"),
+        (["verify-limiting", "--image", img],
+         "the following arguments are required: --set, --m, --n"),
+        (["verify-limiting", "--bogus", "--image", img, "--set", sub, "--m", "0"],
+         "the following arguments are required: --n"),
+        (["verify-limiting", "--image", img, "--set", sub, "--m", "0", "--n"],
+         "argument --n: expected one argument"),
+        (["verify-limiting", "--image", img, "--set", sub, "--m", "a", "--n", "0", "--x"],
+         "argument --m: invalid int value: 'a'"),
+        (["verify-freezing", "--image", img, "--set", sub, "--budget-nodes", "-1"],
+         "argument --budget-nodes: budget must be nonnegative, got -1"),
+        (["verify-freezing", "--image", img, "--set", sub, "--budget-maps", "5"],
+         "unrecognized arguments: --budget-maps 5"),
+    ):
+        assert run(argv) == 3, argv
+        assert capsys.readouterr() == ("", f"error: {err}\n"), argv
+
+
+def test_accepted_forms_match_the_spaced_form(command_args, capsys):
+    img, sub = command_args["verify-freezing"][1], command_args["verify-freezing"][3]
+    spaced = ["verify-limiting", "--image", img, "--set", sub, "--m", "1", "--n", "1",
+              "--budget-nodes", "7", "--json"]
+    code = run(spaced)
+    want = capsys.readouterr().out
+    assert want
+    for argv in (
+        ["verify-limiting", f"--image={img}", f"--set={sub}", "--m=1", "--n=1",
+         "--budget-nodes=7", "--json"],
+        ["verify-limiting", "--image", sub, "--image", img, "--set", sub, "--m", "5",
+         "--m", "1", "--n", "1", "--budget-nodes", "7", "--json", "--json"],
+        ["verify-limiting", "--image", img, "--set", sub, "--m", "1", "--n", "1",
+         "--budget-nodes", " 7 ", "--json"],
+    ):
+        assert run(argv) == code, argv
+        assert capsys.readouterr().out == want, argv
+
+
+def test_help_lists_every_command_with_its_flags(command_args, capsys):
+    assert run(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line.split()[2] for line in lines] == list(COMMANDS)
+    for name, line in zip(COMMANDS, lines):
+        words = line.split()
+        assert words[:2] == ["usage:", "digtopo"]
+        flags = [w.strip("[]") for w in words[3:]]
+        assert flags == COMMANDS[name].flags.split() + ["--json", "--threads"], line
+        # required flags bare, the others bracketed
+        assert "--image" in words or name == "classify-cycle-maps"
+        assert "[--json]" in words and "[--threads]" in words
+        assert all(f"[{f}]" in words for f in ("--minimal", "--budget-nodes") if f in flags)
+    img = command_args["verify-cold"][1]
+    for argv in (["verify-cold", "-h"], ["verify-cold", "--image", img, "--help"]):
+        assert run(argv) == 0
+        assert capsys.readouterr() == (lines[2] + "\n", "")
 
 
 def test_one_node_budget_caps_every_search_of_a_command(write_json, capsys):

@@ -5,11 +5,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from digtopo import fileio
 from digtopo.cli import run
 
 #: JSON literals that no integer field accepts: non-finite or overflowing
@@ -208,3 +211,47 @@ def test_pair_given_as_object_is_named(files, spec):
     assert code == 3, err
     assert out == ""
     assert "must be a pair" in err and "missing field" not in err
+
+
+def test_file_past_the_byte_cap_is_refused(files, monkeypatch):
+    root, _, subset = files
+    text = '{"constructor":"cycle","v":8}'
+    monkeypatch.setattr(fileio, "_MAX_FILE_BYTES", len(text))
+    path = root / "capped.json"
+    path.write_text(text)
+    code, out, _ = _run(["verify-freezing", "--image", str(path), "--set", subset])
+    assert code == 1 and out
+    path.write_text(text + " ")
+    code, out, err = _run(["verify-freezing", "--image", str(path), "--set", subset])
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}: file is larger than {len(text)} bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_file_is_refused(files):
+    _, _, subset = files
+    code, out, err = _run(["verify-freezing", "--image", "/dev/zero", "--set", subset])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: /dev/zero: file is larger than")
+
+
+@pytest.mark.parametrize("spec", [
+    {"constructor": "box", "intervals": [[0, 0]] * 10_000, "adjacency": "c10000"},
+    {"constructor": "box", "intervals": [[0, 0]] * 20_000, "adjacency": "c20000"},
+    {"adjacency": "c1", "points": [[0] * 1_000_000]},
+    {"constructor": "product", "u": 1,
+     "factors": [{"constructor": "cycle", "v": 4}] * 65},
+    {"constructor": "product", "u": 1,
+     "factors": [{"constructor": "box", "intervals": [[0, 0]] * 40, "adjacency": "c1"}] * 2},
+], ids=["box-10000", "box-20000", "points-1000000", "product-65", "product-80-coords"])
+def test_too_many_axes_are_refused_quickly(files, spec):
+    """A small file must not demand work in proportion to its axis count
+    times its adjacency's u; like the point budget, the axis cap exits 2."""
+    root, _, subset = files
+    path = root / "axes.json"
+    path.write_text(json.dumps(spec))
+    started = time.perf_counter()
+    code, out, err = _run(["verify-freezing", "--image", str(path), "--set", subset])
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("unknown: ") and err.endswith("has more than 64 axes\n")
