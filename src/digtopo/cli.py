@@ -2,9 +2,10 @@
 
 Exit codes: 0 when the queried property holds, 1 when it fails (a witness
 is reported), 2 when a budget ran out before a decision, 3 for input
-errors.  With --json each command emits exactly one JSON object with a
-"schema" field; identical invocations produce byte-identical output, so
-timing is reported only in the human-readable form.
+errors and for a report that stdout could not take.  With --json each
+command emits exactly one JSON object with a "schema" field; identical
+invocations produce byte-identical output, so timing is reported only in
+the human-readable form.
 
 Each command is declared once, in COMMANDS, with the flags it takes from
 _FLAGS; _parse reads both.  Any other flag, an abbreviation of one
@@ -14,6 +15,7 @@ included, is a usage error.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -288,7 +290,16 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left, so the report was lost: that is no verdict.  The
+        # interpreter flushes stdout again at exit, so it goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -237,12 +237,13 @@ def find_minimal_limiting_sets(
 
 
 def _decided(mask: SubsetMask, found: list[SubsetMask], refuted: list[SubsetMask]) -> bool:
-    """The subset holds a found set or lies inside a witness's S_f."""
-    for f in found:
-        if f & mask == f:
-            return True
+    """The subset lies inside a witness's S_f or holds a found set.  The
+    few maximal S_f masks decide most subsets, so they are read first."""
     for s in refuted:
         if mask | s == s:
+            return True
+    for f in found:
+        if f & mask == f:
             return True
     return False
 

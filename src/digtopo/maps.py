@@ -2,11 +2,10 @@
 
 A map is continuous when adjacent vertices land on equal or adjacent
 vertices.  For total maps this is equivalent to being nonexpansive in the
-shortest-path metric, which is what the search engine exploits: a partial
-assignment is abandoned as soon as two assigned vertices violate
-d(f(x), f(y)) <= d(x, y), and candidate sets are narrowed by intersecting
-metric balls.  Every completed assignment that survives the pruning is
-therefore continuous, and no continuous map is missed.
+shortest-path metric, which is what the search engine exploits: each
+value assigned cuts every candidate set, all packed into one int, to the
+metric ball it allows, so every completed assignment that survives is
+continuous, and no continuous map is missed.
 
 All searches are deterministic: vertices are assigned in a fixed order
 (canonical, or breadth-first from a distinguished subset) and candidate
@@ -207,71 +206,70 @@ def _assignments(
     viol: Sequence[int] | None = None,
     nodes: list[int] | None = None,
     cap: float = math.inf,
+    cuts: list[int | None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield all surviving complete assignments in canonical DFS order.
 
-    This is the one forward-checking kernel: vertices are assigned in the
-    given order, values in ascending order from their candidate masks,
-    and every later candidate set is cut to the metric ball the new value
-    allows.  dist holds the domain's distance rows and balls the
-    codomain's ball rows (DigitalImage.dist_lists and ball_masks): once x
-    takes the value v, a vertex y at distance r from x keeps only the
-    candidates in balls[v][r].  An INF distance allows every vertex, and
-    a radius past the codomain's largest distance allows v's component,
-    its largest ball.  With viol given, only assignments placing some
-    vertex x on a value in viol[x] are yielded, and branches that can no
-    longer do so are cut.  nodes[0], when given, counts attempted assignments; the
-    attempt after the cap-th raises _CapHit.
+    Vertices are assigned in order, values ascending from their candidate
+    masks.  Once x takes v, a vertex y at distance r keeps its candidates in
+    balls[v][r], in v's largest ball past the last radius, or all at INF.
+    With viol, only assignments placing some x on a value in viol[x] are
+    yielded and branches that no longer can are cut.  nodes[0], when given,
+    counts attempted assignments, and attempt cap + 1 raises _CapHit.
 
-    The depth-first walk keeps an explicit stack: depth p owns a
-    candidate list, a violation flag and an iterator over the values of
-    order[p].  A value that survives forward checking writes the cut
-    candidates of every later vertex into the next depth's list, and
-    only those entries are read below it, so no list is copied.
+    A depth packs every candidate mask in one int, y's at bit y*(k + 1) for
+    k codomain vertices, under a guard bit kept 0.  A node ANDs in
+    cuts[x*k + v], built when v is first tried at x; adds k ones to each
+    field, setting its guard exactly when it is nonempty; and ANDs with the
+    packed viol.  One guard and viol mask serve every depth: every caller
+    passes a permutation as order, so a field is cut as before or assigned,
+    and holds just its value once assigned.  The cut at y = x is {v}, and a
+    later v' at x' lies in v's ball of radius d(x, x'), so by symmetry (at
+    INF and past the last radius too) v is in the ball of v' cutting x.  So
+    assigned fields never empty, nor add viol bits while vio is false.
     """
-    n = len(dist)
-    full = (1 << len(balls)) - 1
-    top = len(balls[0]) - 1 if balls else 0
+    n, k = len(dist), len(balls)
+    full, w, top = (1 << k) - 1, k + 1, (len(balls[0]) - 1 if balls else 0)
     order = list(order)
     last = len(order) - 1
-    assign = [0] * n
-    tally = [0] if nodes is None else nodes
+    assign, tally = [0] * n, [0] if nodes is None else nodes
     if last < 0:
         yield tuple(assign)
         return
-    rests = [order[p + 1 :] for p in range(last + 1)]
-    cands = [list(cand)] + [[0] * n for _ in range(last)]
+    cuts = [None] * (n * k) if cuts is None else cuts
+    lsb = ((1 << n * w) - 1) // ((1 << w) - 1)  # the lowest bit of every field
+    ones, guard, packed, vmask = lsb * full, lsb << k, 0, 0
+    for y in range(n):
+        packed |= cand[y] << y * w
+        vmask |= viol[y] << y * w if viol else 0
     # without viol every assignment counts as violating, so none is cut
-    vios = [viol is None] + [False] * last
-    values = [_bits(cand[order[0]])] + [None] * last
-    pos = 0
+    states = [(packed, viol is None)] + [None] * last
+    pos, values = 0, [_bits(cand[order[0]])] + [None] * last
     while pos >= 0:
-        x, rest, cur, violated = order[pos], rests[pos], cands[pos], vios[pos]
-        dx = dist[x]
-        nc = cands[pos + 1] if pos < last else cur
+        x, (cur, violated), row = order[pos], states[pos], order[pos] * k
         for v in values[pos]:
             tally[0] += 1
             if tally[0] > cap:
                 raise _CapHit
             assign[x] = v
             vio = violated or viol[x] >> v & 1
-            bv = balls[v]
-            for y in rest:
-                r = dx[y]
-                ny = cur[y] & (bv[r] if r <= top else bv[top] if r < INF else full)
-                if not ny:
-                    break
-                nc[y] = ny
-            else:
-                if not vio and not any(nc[y] & viol[y] for y in rest):
-                    continue
-                if pos == last:
+            if pos == last:
+                if vio:
                     yield tuple(assign)
-                    continue
-                pos += 1
-                vios[pos] = vio
-                values[pos] = _bits(nc[order[pos]])
-                break
+                continue
+            cut = cuts[row + v]
+            if cut is None:
+                bv, cut = balls[v], 0
+                for r in reversed(dist[x]):
+                    cut = cut << w | (bv[r] if r <= top else bv[top] if r < INF else full)
+                cuts[row + v] = cut
+            nc = cur & cut
+            if (nc + ones) & guard != guard or not (vio or nc & vmask):
+                continue
+            pos += 1
+            states[pos] = nc, vio
+            values[pos] = _bits(nc >> order[pos] * w & full)
+            break
         else:
             pos -= 1
 
@@ -320,7 +318,7 @@ class _Query:
         if not img.is_connected():
             raise Disconnected("counterexample search requires a connected image")
         self.img, self.m, self.full = img, m, (1 << img.n) - 1
-        self.budget, self.nodes = node_budget, [0]
+        self.budget, self.nodes, self.cuts = node_budget, [0], [None] * img.n**2
         self.set_n(n)
 
     def set_n(self, n: int) -> None:
@@ -342,7 +340,9 @@ class _Query:
         if not any(c & w for c, w in zip(cand, self.viol)):
             return iter(())
         dist, order = self.img.dist_lists(), _bfs_order_from(self.img, subset)
-        return _assignments(dist, balls, order, cand, self.viol, self.nodes, self.budget)
+        return _assignments(
+            dist, balls, order, cand, self.viol, self.nodes, self.budget, self.cuts
+        )
 
     def search(self, subset: SubsetMask) -> SearchOutcome:
         """First counterexample for one subset, with the nodes it spent."""

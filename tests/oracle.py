@@ -262,3 +262,57 @@ def cycle_triple_thresholds(v: int) -> dict[tuple[int, int, int], int]:
             if t not in out and np.any((sets & want) == want):
                 out[t] = m - 1
     return {t: out.get(t, v // 2) for t in triples}
+
+
+class _CapReached(Exception):
+    pass
+
+
+def forward_checking_tables(dist, balls, order, cand, viol, cap):
+    """Every table of a plain forward-checking search, with its node count.
+
+    Vertices are assigned in the given order and values tried in
+    ascending order from their candidate sets.  Once x takes v, each
+    later vertex y keeps only the candidates in v's ball of radius
+    d(x, y): the largest ball when the radius passes the last one, and
+    every vertex when x and y are not connected (distance INF).  A value
+    that empties a later candidate set is dropped.  With viol given, a
+    table counts only when it places some x on a value in viol[x], and a
+    branch is dropped once neither an assigned value nor a later
+    candidate can do so.  Each attempted assignment is one node, and the
+    attempt after the cap-th stops the search.
+
+    Returns (tables, nodes, capped).
+    """
+    full = (1 << len(balls)) - 1
+    tables, assign, nodes = [], [0] * len(dist), [0]
+
+    def ball(v, r):
+        return full if r == INF else balls[v][min(r, len(balls[v]) - 1)]
+
+    def visit(pos, cands, vio):
+        if pos == len(order):
+            tables.append(tuple(assign))
+            return
+        x, later = order[pos], order[pos + 1 :]
+        for v in range(len(balls)):
+            if not cands[x] >> v & 1:
+                continue
+            nodes[0] += 1
+            if nodes[0] > cap:
+                raise _CapReached
+            assign[x] = v
+            now = vio or bool(viol[x] >> v & 1)
+            cut = list(cands)
+            for y in later:
+                cut[y] = cands[y] & ball(v, dist[x][y])
+            if all(cut[y] for y in later) and (
+                now or any(cut[y] & viol[y] for y in later)
+            ):
+                visit(pos + 1, cut, now)
+
+    try:
+        visit(0, list(cand), viol is None)
+    except _CapReached:
+        return tables, nodes[0], True
+    return tables, nodes[0], False

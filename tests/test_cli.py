@@ -441,3 +441,26 @@ def test_one_node_budget_caps_every_search_of_a_command(write_json, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "unknown: profile undecided at n=3 after 20 nodes\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--help"]])
+def test_closed_stdout_is_an_input_error_not_a_verdict(write_json, extra):
+    """A report written into a pipe whose reader has closed exits 3 with
+    one error line, not a traceback read as FAILS (exit 1)."""
+    img = write_json("c8.json", {"constructor": "cycle", "v": 8})
+    subset = write_json("c8_035.json", {"indices": [0, 3, 5]})
+    argv = ["verify-freezing", "--image", img, "--set", subset] + extra
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "digtopo", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
