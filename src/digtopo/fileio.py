@@ -98,14 +98,10 @@ def image_from_spec(data: dict, *, source: str = "<image>") -> DigitalImage:
                 _parse_u(data["adjacency"], source),
                 dim=dim,
             )
-    except InputFileError:
-        raise
     except KeyError as exc:
         raise InputFileError(f"{source}: missing field {exc.args[0]!r}") from exc
     except _MALFORMED as exc:
         raise InputFileError(f"{source}: {exc}") from exc
-    except DigitalTopologyError:
-        raise
     raise InputFileError(
         f"{source}: field 'constructor' must be box, cycle, explicit, or product, "
         "or the object must carry 'points'"
@@ -157,8 +153,6 @@ def map_from_spec(
         if any(v is None for v in table):
             raise InputFileError(f"{source}: field 'table' does not cover the domain")
         return MapTable(dom, cod, tuple(table))
-    except InputFileError:
-        raise
     except _MALFORMED as exc:
         raise InputFileError(f"{source}: {exc}") from exc
 

@@ -81,10 +81,10 @@ class DigitalImage:
     """A finite digital image with canonically ordered vertices.
 
     Instances are immutable after construction; the all-pairs metric, the
-    ball tables, the edge list and (for cycles) the circular indexing are
-    computed lazily and cached.  Equality and hashing are structural over
-    (points, adjacency bitmasks) so that separately built copies of the
-    same image interoperate.
+    ball tables and (for cycles) the circular indexing are computed lazily
+    and cached.  Equality and hashing are structural over (points,
+    adjacency bitmasks) so that separately built copies of the same image
+    interoperate.
     """
 
     __slots__ = (
@@ -98,9 +98,7 @@ class DigitalImage:
         "factor_tuples",
         "_dist_lists",
         "_balls",
-        "_edges",
         "_cycle",
-        "_hash",
     )
 
     def __init__(
@@ -125,9 +123,7 @@ class DigitalImage:
         self.factor_tuples = factor_tuples
         self._dist_lists = None
         self._balls = None
-        self._edges = None
         self._cycle = None
-        self._hash = None
 
     # -- structure ---------------------------------------------------------
 
@@ -151,15 +147,12 @@ class DigitalImage:
         return bin(self.neighbor_masks[i]).count("1")
 
     def edge_list(self) -> list[tuple[int, int]]:
-        """Edges as (i, j) pairs with i < j, in order; derived once and
-        cached, and each call gets its own list."""
-        if self._edges is None:
-            self._edges = tuple(
-                (i, j)
-                for i, m in enumerate(self.neighbor_masks)
-                for j in _bits(m >> (i + 1) << (i + 1))
-            )
-        return list(self._edges)
+        """Edges as (i, j) pairs with i < j, in order."""
+        return [
+            (i, j)
+            for i, m in enumerate(self.neighbor_masks)
+            for j in _bits(m >> (i + 1) << (i + 1))
+        ]
 
     @property
     def edge_count(self) -> int:
@@ -233,9 +226,7 @@ class DigitalImage:
         return self.points == other.points and self.neighbor_masks == other.neighbor_masks
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.points, self.neighbor_masks))
-        return self._hash
+        return hash((self.points, self.neighbor_masks))
 
     def __repr__(self) -> str:
         return f"DigitalImage(n={self.n}, adjacency={self.adjacency.label()})"
@@ -624,57 +615,42 @@ def metric_ball(img: DigitalImage, x: int, m: int) -> SubsetMask:
     return out
 
 
+def _c1_masks(img: DigitalImage) -> tuple[int, ...]:
+    """c_1 neighbour masks of a grid image's points, whatever its own
+    adjacency: the grid fold with one unit step per axis."""
+    return _neighbor_masks(img.points, 1, [_unit_steps] * img.dim)
+
+
 def boundary(img: DigitalImage) -> SubsetMask:
-    """Vertices with some c_1-adjacent lattice point outside the image.
+    """Vertices with some c_1-adjacent lattice point outside the image:
+    those with fewer than 2 * dim c_1 neighbours in it.
 
     Only grid-embedded images have a boundary in this sense.
     """
     if img.points is None:
         raise NotEmbedded("boundary requires a grid-embedded image")
-    out = 0
-    for i, p in enumerate(img.points):
-        for axis in range(img.dim):
-            for step in (-1, 1):
-                q = list(p)
-                q[axis] += step
-                if tuple(q) not in img.point_index:
-                    out |= 1 << i
-                    break
-            if out >> i & 1:
-                break
-    return out
+    c1, inner = _c1_masks(img), 2 * img.dim
+    return mask_from_indices(i for i, m in enumerate(c1) if bin(m).count("1") < inner)
 
 
 def unique_shortest_path(img: DigitalImage, x: int, y: int) -> list[int] | None:
-    """The unique geodesic from x to y as vertex indices, or None if several."""
+    """The unique geodesic from x to y as vertex indices, or None if several.
+
+    The interval {v : d(x, v) + d(v, y) = d(x, y)}, read from the rows of
+    x and y, holds exactly the vertices on some geodesic, at least one at
+    each distance 0..d(x, y) from x.  So the geodesic is unique when the
+    interval has d(x, y) + 1 vertices, and is those vertices by distance.
+    """
     if not (0 <= x < img.n and 0 <= y < img.n):
         raise ValueError("vertex index out of range")
-    row = img.dist_row(x)
-    if row[y] >= INF:
+    rx, ry = img.dist_row(x), img.dist_row(y)
+    d = rx[y]
+    if d >= INF:
         raise Disconnected("vertices lie in different components")
-    order = sorted(range(img.n), key=lambda v: (row[v], v))
-    count = [0] * img.n
-    count[x] = 1
-    for v in order:
-        if v == x or row[v] >= INF:
-            continue
-        c = 0
-        for p in _bits(img.neighbor_masks[v]):
-            if row[p] == row[v] - 1:
-                c += count[p]
-        count[v] = c
-    if count[y] != 1:
+    between = [v for v in range(img.n) if rx[v] + ry[v] == d]
+    if len(between) != d + 1:
         return None
-    path = [y]
-    cur = y
-    while cur != x:
-        for p in _bits(img.neighbor_masks[cur]):
-            if row[p] == row[cur] - 1 and count[p] > 0:
-                cur = p
-                break
-        path.append(cur)
-    path.reverse()
-    return path
+    return sorted(between, key=rx.__getitem__)
 
 
 def is_k_cover(img: DigitalImage, mask: SubsetMask, k: int) -> bool:

@@ -30,6 +30,7 @@ from .image import (
     DigitalImage,
     SubsetMask,
     _bits,
+    _c1_masks,
     boundary,
     check_mask,
     mask_from_indices,
@@ -374,16 +375,8 @@ def boundary_cold_condition(img: DigitalImage, subset: SubsetMask) -> bool:
     if subset & ~bd:
         return False
     missing = bd & ~subset
-    for a in _bits(missing):
-        pa = img.points[a]
-        for b in _bits(missing):
-            if b <= a:
-                continue
-            pb = img.points[b]
-            diff = (abs(pa[0] - pb[0]), abs(pa[1] - pb[1]))
-            if sorted(diff) == [0, 1]:
-                return False
-    return True
+    c1 = _c1_masks(img)
+    return not any(c1[a] & missing for a in _bits(missing))
 
 
 # -- products --------------------------------------------------------------

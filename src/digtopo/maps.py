@@ -115,14 +115,21 @@ def compose(g: MapTable, f: MapTable) -> MapTable:
     return MapTable(f.domain, g.codomain, tuple(g.table[v] for v in f.table))
 
 
+def _continuous_on(f: MapTable, mask: SubsetMask) -> bool:
+    """Adjacent vertices of the masked set map to equal or adjacent
+    vertices."""
+    nbrs, t = f.domain.neighbor_masks, f.table
+    for a in _bits(mask):
+        star = f.codomain.nstar_mask(t[a])
+        for b in _bits(nbrs[a] & mask >> a + 1 << a + 1):
+            if not star >> t[b] & 1:
+                return False
+    return True
+
+
 def is_continuous(f: MapTable) -> bool:
     """Adjacent vertices map to equal or adjacent vertices."""
-    nbrs, t = f.codomain.neighbor_masks, f.table
-    for a, b in f.domain.edge_list():
-        ta, tb = t[a], t[b]
-        if ta != tb and not nbrs[ta] >> tb & 1:
-            return False
-    return True
+    return _continuous_on(f, (1 << f.domain.n) - 1)
 
 
 def fixed_points(f: MapTable) -> SubsetMask:
@@ -159,18 +166,10 @@ def is_n_map_on(f: MapTable, mask: SubsetMask, n: int) -> bool:
     if f.domain != f.codomain:
         raise DomainMismatch("restricted displacement requires a self-map")
     check_mask(f.domain, mask)
-    img, t = f.domain, f.table
-    dist = img.dist_lists()
-    ids = list(_bits(mask))
-    for a in ids:
-        if dist[a][t[a]] > n:
-            return False
-    for a in ids:
-        star = img.nstar_mask(t[a])
-        for b in _bits(img.neighbor_masks[a] & mask):
-            if b > a and not star >> t[b] & 1:
-                return False
-    return True
+    dist, t = f.domain.dist_lists(), f.table
+    if any(dist[a][t[a]] > n for a in _bits(mask)):
+        return False
+    return _continuous_on(f, mask)
 
 
 def is_retraction(f: MapTable) -> bool:

@@ -9,7 +9,7 @@ metric.  Constant maps are always continuous, so the minimum is attained.
 
 from __future__ import annotations
 
-from .errors import Disconnected, EmptySubset, NotAnMMap
+from .errors import Disconnected, DomainMismatch, EmptySubset, NotAnMMap
 from .image import (
     DigitalImage,
     SubsetMask,
@@ -114,8 +114,11 @@ def check_diameter_bound(img: DigitalImage, f: MapTable, m: int) -> bool:
 
     Checks diam(f(X)) >= diam(X) - 2m with the image set measured both
     ways: under ambient distances and under its induced metric.  Raises
-    NotAnMMap unless f is continuous with displacement at most m.
+    NotAnMMap unless f is continuous with displacement at most m, and
+    DomainMismatch unless f is a map of img.
     """
+    if f.domain != img:
+        raise DomainMismatch("map is not defined on the given image")
     if not is_continuous(f) or displacement(f) > m:
         raise NotAnMMap(f"map is not a continuous {m}-map")
     target = img.diameter_value() - 2 * m

@@ -70,6 +70,44 @@ def is_continuous_table(adj_dom, adj_cod, table) -> bool:
     return True
 
 
+def is_continuous_on(adj_dom, adj_cod, table, vertices) -> bool:
+    """Edge by edge: every edge with both ends in vertices goes to equal
+    or adjacent values."""
+    for x in vertices:
+        for y in adj_dom[x]:
+            fx, fy = table[x], table[y]
+            if y in vertices and fx != fy and fy not in adj_cod[fx]:
+                return False
+    return True
+
+
+def lattice_boundary(points) -> set[tuple[int, ...]]:
+    """Points with a lattice neighbour, one coordinate off by one,
+    outside the set: a walk over every axis and both directions."""
+    pts = set(points)
+    out = set()
+    for p in pts:
+        for axis in range(len(p)):
+            for step in (-1, 1):
+                q = list(p)
+                q[axis] += step
+                if tuple(q) not in pts:
+                    out.add(p)
+    return out
+
+
+def geodesic_count(adj: list[set[int]], x: int, y: int) -> int:
+    """Number of shortest x-y paths: each vertex sums the counts of its
+    neighbours one step closer to x, layer by layer."""
+    dist = bfs_distances(adj, x)
+    count = [0] * len(adj)
+    count[x] = 1
+    for v in sorted((v for v in range(len(adj)) if dist[v] < INF), key=dist.__getitem__):
+        if v != x:
+            count[v] = sum(count[w] for w in adj[v] if dist[w] == dist[v] - 1)
+    return count[y]
+
+
 def continuous_self_maps(img) -> set[tuple[int, ...]]:
     """All continuous self-maps by filtering every one of n^n tables."""
     adj = adjacency_sets(img)

@@ -48,6 +48,7 @@ from digtopo.image import (
     product,
     unique_shortest_path,
 )
+from digtopo.maps import MapTable, is_continuous, is_n_map_on
 
 # small random grid point sets for property tests
 point_sets = st.lists(
@@ -329,6 +330,57 @@ def test_metric_matches_bfs_oracle(img):
     assert metric(img).tolist() == expect
 
 
+# c1, c2 and c3 point sets in one to three dimensions
+grid_images = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=10, unique=True),
+        st.integers(1, d),
+    )
+).map(lambda t: build_from_points(*t))
+
+# every c2 rectangle up to 5x5
+rectangles = [
+    build_box([(0, w - 1), (0, h - 1)], 2) for w in range(1, 6) for h in range(1, 6)
+]
+
+
+@given(st.one_of(metric_inputs, grid_images, st.sampled_from(rectangles)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_table_readers_match_walk_references(img, data):
+    """boundary, unique_shortest_path, is_continuous and is_n_map_on, which
+    read the c1 fold, two distance rows and one restricted continuity test,
+    agree with a lattice walk, a geodesic count and an edge-by-edge check."""
+    adj, dist = oracle.adjacency_sets(img), oracle.all_distances(img)
+    if img.points is None:
+        with pytest.raises(NotEmbedded):
+            boundary(img)
+    else:
+        assert set(mask_points(img, boundary(img))) == oracle.lattice_boundary(img.points)
+    for x, y in itertools.product(range(img.n), repeat=2):
+        if dist[x][y] == oracle.INF:
+            with pytest.raises(Disconnected):
+                unique_shortest_path(img, x, y)
+            continue
+        path = unique_shortest_path(img, x, y)
+        if oracle.geodesic_count(adj, x, y) != 1:
+            assert path is None
+            continue
+        assert len(path) == dist[x][y] + 1 and (path[0], path[-1]) == (x, y)
+        assert all(b in adj[a] for a, b in zip(path, path[1:]))
+    # near-identity tables, each vertex kept or moved to a neighbour, are
+    # continuous often enough to test both answers
+    moves = [st.sampled_from(sorted(adj[v] | {v})) for v in range(img.n)]
+    anywhere = st.tuples(*[st.integers(0, img.n - 1)] * img.n)
+    table = data.draw(st.one_of(st.tuples(*moves), anywhere))
+    mask, n = data.draw(st.integers(0, (1 << img.n) - 1)), data.draw(st.integers(0, 3))
+    f, ids = MapTable(img, img, table), set(mask_indices(mask))
+    assert is_continuous(f) == oracle.is_continuous_table(adj, adj, table)
+    assert is_n_map_on(f, mask, n) == (
+        oracle.is_continuous_on(adj, adj, table, ids)
+        and all(dist[a][table[a]] <= n for a in ids)
+    )
+
+
 def test_metric_readonly(path3):
     d = metric(path3)
     assert d.dtype == np.uint16
@@ -561,7 +613,7 @@ def test_high_dimensional_box_builds_quickly(u):
     assert img.n == 1 and img.neighbor_masks == (0,)
 
 
-def test_edge_list_is_cached_and_each_call_owns_its_list():
+def test_edge_list_gives_each_call_its_own_list():
     img = build_box([(0, 2), (0, 1)], 2)
     first = img.edge_list()
     want = sorted(

@@ -95,3 +95,14 @@ def test_shared_query_searches_equal_fresh_ones(monkeypatch):
         n = max(row[y] for row, y in zip(img.dist_lists(), out.witness.table))
         q.set_n(n)
     assert steps == 6
+
+
+def test_budget_outcome_counts_only_what_its_own_search_spent():
+    """A query's searches share one budget: after a first search spent 9 of
+    11 nodes, a search that hits the budget reports the 2 it spent."""
+    img = build_box([(0, 2), (0, 2)], 1)
+    q = maps._Query(img, 0, 0, 11, maps.DEFAULT_MAX_VERTICES)
+    first = q.search(0)
+    assert (first.status, first.nodes) == ("witness", 9)
+    assert q.search(mask_from_indices([0, 2, 6, 8])) == ("budget", None, 2)
+    assert q.nodes == [11]

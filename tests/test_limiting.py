@@ -245,6 +245,23 @@ def test_find_minimal_budget_equal_to_a_zero_total_decides(cycle8):
     assert find_minimal_limiting_sets(cycle8, 0, 4, 2, node_budget=0) == full
 
 
+@pytest.mark.parametrize(
+    "img, m, n, sets",
+    [
+        (build_box([(0, 2), (0, 2)], 2), 0, 0, []),
+        (build_box([(0, 2), (0, 2)], 2), 0, 1, []),
+        (build_box([(0, 2), (0, 2)], 2), 0, 2, [0]),
+        (build_cycle(8)[0], 0, 4, [0]),
+        (build_cycle(8)[0], 0, 3, []),
+    ],
+)
+def test_find_minimal_size_cap_zero_decides_the_empty_set(img, m, n, sets):
+    """A cap of 0 is allowed: only the empty set is decided, and it is
+    minimal exactly when it limits."""
+    r = find_minimal_limiting_sets(img, m, n, 0)
+    assert (r.sets, r.complete, r.searched + r.skipped) == (sets, True, 1)
+
+
 def test_negative_budget_is_refused_by_every_search_entry(cycle8):
     subset = mask_from_indices([0, 3, 5])
     with pytest.raises(ValueError, match="nonnegative"):
@@ -696,6 +713,26 @@ def test_boundary_cold_condition_sweep(hi, meeting):
             met += 1
             assert is_s_cold(img, a, 1).holds is True, mask_points(img, a)
     assert met == meeting
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_boundary_cold_condition_matches_its_definition(data):
+    """On every c2 rectangle up to 5x5, with a few boundary points dropped
+    and at times an inner point added, the condition is its literal
+    definition over the lattice-walk boundary and the c1 rule."""
+    for w, h in itertools.product(range(1, 6), repeat=2):
+        img = build_box([(0, w - 1), (0, h - 1)], 2)
+        bd = oracle.lattice_boundary(img.points)
+        assert set(mask_points(img, boundary(img))) == bd
+        drop = data.draw(st.sets(st.sampled_from(sorted(bd)), max_size=4))
+        extra = data.draw(st.sets(st.sampled_from(img.points), max_size=1))
+        kept = (bd - drop) | extra
+        missing = bd - kept
+        want = kept <= bd and not any(
+            oracle.cu_adjacent(p, q, 1) for p in missing for q in missing
+        )
+        assert boundary_cold_condition(img, mask_from_points(img, kept)) == want
 
 
 def test_boundary_cold_condition_requires_c2_rectangle(square_c1, cycle8):

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from digtopo.errors import BudgetExceeded, Disconnected, EmptySubset, NotAnMMap
+from digtopo.errors import (
+    BudgetExceeded,
+    Disconnected,
+    DomainMismatch,
+    EmptySubset,
+    NotAnMMap,
+)
 from digtopo.image import (
     build_box,
     build_cycle,
@@ -155,6 +161,12 @@ def test_diameter_bound_fixture(square_c1):
         check_diameter_bound(square_c1, f, 1)
     g = identity(square_c1)
     assert check_diameter_bound(square_c1, g, 0)
+
+
+def test_diameter_bound_refuses_a_map_of_another_image():
+    img, (c8, _) = build_box([(0, 1), (0, 3)], 1), build_cycle(8)
+    with pytest.raises(DomainMismatch):
+        check_diameter_bound(img, identity(c8), 0)
 
 
 def test_diameter_bound_over_all_maps():
