@@ -40,6 +40,7 @@ from .maps import (
     DEFAULT_NODE_BUDGET,
     MapTable,
     SearchOutcome,
+    _longest_gap,
     _Query,
     cycle_indexing,
     run_counterexample_search,
@@ -301,13 +302,10 @@ def cycle_triple_bound(img: DigitalImage, i: int, j: int, k: int) -> int:
     2m + 2g < v.  Since g >= v/3 it never exceeds the surjectivity
     threshold.
 
-    Soundness: let f be continuous and move each position at most m.
-    Lift the image of an arc a -> b of length g to the integer line; it
-    is a walk of g steps from a + e to b + d + kv with |e|, |d| <= m.
-    A walk of g steps spans at most g, so k != 0 would need
-    v <= 2g + 2m, which 2m + 2g < v excludes.  With k = 0 the point
-    a + t lands within t of a + e and within g - t of b + d, hence in
-    [a + t - m, a + t + m]: every point moves at most m.
+    Soundness is the longest-gap bound that the counterexample search
+    applies to every cycle subset (maps._Query.search): a subset whose
+    longest gap g has 2m + 2g < v is (m, n)-limiting for every n >= m,
+    by lifting each arc's image to the integer line.
 
     Sharpness: at m = bound + 1, 2m + 2g >= v.  Fix the third position,
     send a to a - m and b to b + m, and let the long arc's image run
@@ -326,12 +324,12 @@ def cycle_triple_bound(img: DigitalImage, i: int, j: int, k: int) -> int:
     pos = sorted({i, j, k})
     if len(pos) != 3 or not all(0 <= p < v for p in pos):
         raise NotAValidTriple("positions must be three distinct indices on the cycle")
-    gaps = (pos[1] - pos[0], pos[2] - pos[1], v - pos[2] + pos[0])
-    if any(2 * g >= v for g in gaps):
+    g = _longest_gap(v, pos)
+    if 2 * g >= v:
         raise NotAValidTriple(
             "each arc between consecutive positions must be shorter than half the cycle"
         )
-    return (v - 2 * max(gaps) - 1) // 2
+    return (v - 2 * g - 1) // 2
 
 
 # -- displacement bounds ---------------------------------------------------

@@ -166,8 +166,8 @@ def is_n_map_on(f: MapTable, mask: SubsetMask, n: int) -> bool:
     if f.domain != f.codomain:
         raise DomainMismatch("restricted displacement requires a self-map")
     check_mask(f.domain, mask)
-    dist, t = f.domain.dist_lists(), f.table
-    if any(dist[a][t[a]] > n for a in _bits(mask)):
+    row, t = f.domain.dist_row, f.table
+    if any(row(a)[t[a]] > n for a in _bits(mask)):
         return False
     return _continuous_on(f, mask)
 
@@ -318,12 +318,17 @@ class _Query:
             raise Disconnected("counterexample search requires a connected image")
         self.img, self.m, self.full = img, m, (1 << img.n) - 1
         self.budget, self.nodes, self.cuts = node_budget, [0], [None] * img.n**2
+        # A connected image of 4 or more vertices, each of degree 2, is a
+        # cycle; pos[x] is x's place in its walk.
+        self.pos = None
+        if img.n >= 4 and all(b.bit_count() == 2 for b in img.neighbor_masks):
+            self.pos = sorted(range(img.n), key=cycle_indexing(img).__getitem__)
         self.set_n(n)
 
     def set_n(self, n: int) -> None:
         # The image is connected, so a radius past its diameter allows every
         # vertex and a violation past it is impossible.
-        balls = self.img.ball_masks()
+        self.n, balls = n, self.img.ball_masks()
         self.viol = [self.full & ~by_r[n] if n < len(by_r) else 0 for by_r in balls]
 
     def tables(self, subset: SubsetMask) -> Iterator[tuple[int, ...]]:
@@ -344,7 +349,26 @@ class _Query:
         )
 
     def search(self, subset: SubsetMask) -> SearchOutcome:
-        """First counterexample for one subset, with the nodes it spent."""
+        """First counterexample for one subset, with the nodes it spent.
+
+        On a v-cycle, a nonempty subset whose longest gap g between
+        cyclically consecutive positions has 2m + 2g < v holds for every
+        n >= m, so it is exhausted with no node.  Let f be continuous and
+        move each subset position at most m.  Lift the image of an arc
+        a -> b between consecutive positions, of length h <= g, to the
+        integer line: a walk of h steps from a + e to b + d + kv with
+        |e|, |d| <= m.  A walk of h steps spans at most h, so k != 0 would
+        need v <= 2h + 2m, which 2m + 2g < v excludes.  With k = 0 the
+        point a + t lands within t of a + e and within h - t of b + d,
+        hence in [a + t - m, a + t + m].  The arcs cover the cycle, so f
+        is an m-map, and an n-map.  A witness still comes only from the
+        search, so it stays the first in search order.
+        """
+        check_mask(self.img, subset)
+        if self.pos and subset and self.n >= self.m:
+            v = len(self.pos)
+            if 2 * (self.m + _longest_gap(v, sorted(self.pos[a] for a in _bits(subset)))) < v:
+                return SearchOutcome("exhausted", None, 0)
         start = self.nodes[0]
         try:
             w = next(self.tables(subset), None)
@@ -535,17 +559,25 @@ def cycle_indexing(img: DigitalImage) -> tuple[int, ...]:
 def _walk_cycle(img: DigitalImage) -> tuple[int, ...]:
     if img.n < 4:
         raise NotACycle("cycles have at least 4 vertices")
-    if not img.is_connected() or any(img.degree(i) != 2 for i in range(img.n)):
-        raise NotACycle("image is not connected and 2-regular")
+    if any(img.degree(i) != 2 for i in range(img.n)):
+        raise NotACycle("image is not 2-regular")
+    # A 2-regular walk that visits every vertex once and closes is one
+    # cycle, so the image is connected without a separate check.
     order = [0]
     prev, cur = -1, 0
     for _ in range(img.n - 1):
         nxt = min(w for w in _bits(img.neighbor_masks[cur]) if w != prev)
         order.append(nxt)
         prev, cur = cur, nxt
-    if not img.adjacent(order[-1], order[0]):
-        raise NotACycle("walk did not close into a cycle")
+    if len(set(order)) < img.n or not img.adjacent(order[-1], order[0]):
+        raise NotACycle("walk from vertex 0 did not close into one cycle")
     return tuple(order)
+
+
+def _longest_gap(v: int, pos: Sequence[int]) -> int:
+    """Longest gap between cyclically consecutive positions of a v-cycle,
+    given sorted and nonempty; v for a single position."""
+    return max(b - a for a, b in zip(pos, [*pos[1:], pos[0] + v]))
 
 
 def _position_table(idx: tuple[int, ...], d: int, step: int) -> tuple[int, ...]:

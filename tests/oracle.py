@@ -234,6 +234,33 @@ def cycle_self_maps(v: int):
             yield tuple((start + w) % v for w in walk)
 
 
+def cycle_profiles(v: int) -> list[list[int]]:
+    """For each m <= v // 2 and each set A of C_v positions, as a bitmask,
+    the largest displacement of a continuous self-map that moves every
+    point of A at most m: A is (m, n)-limiting exactly when it is <= n.
+
+    Each listed map raises the entry of the points it moves at most m;
+    one sum-over-supersets pass, taking the max, then carries every entry
+    to each subset, since a map counts for A exactly when A lies among
+    those points.
+    """
+    moves = set()
+    for table in cycle_self_maps(v):
+        moves.add(tuple(min((t - x) % v, (x - t) % v) for x, t in enumerate(table)))
+    out = []
+    for m in range(v // 2 + 1):
+        worst = [0] * (1 << v)
+        for moved in moves:
+            within = sum(1 << x for x, d in enumerate(moved) if d <= m)
+            worst[within] = max(worst[within], max(moved))
+        for x in range(v):
+            for a in range(1 << v):
+                if not a >> x & 1:
+                    worst[a] = max(worst[a], worst[a | 1 << x])
+        out.append(worst)
+    return out
+
+
 def _trace_of_power(step: list[list[int]], v: int) -> int:
     n = len(step)
     power = [[int(i == j) for j in range(n)] for i in range(n)]

@@ -68,13 +68,13 @@ GOLDEN_JSON = {
     'classify-budget': (2, ''),
     'cold-minimal': (0, '{"command":"verify-cold","holds":true,"nodes":42,"query":{"image":"sq2.json","m":0,"minimal":true,"n":1,"set":"corners.json"},"schema":"1","witness":null}\n'),
     'export-dot': (0, '{"command":"export-dot","dot":"graph digital_image {\\n  \\"(0,0)\\";\\n  \\"(1,0)\\";\\n  \\"(1,1)\\";\\n  \\"(2,0)\\";\\n  \\"(0,0)\\" -- \\"(1,0)\\";\\n  \\"(1,0)\\" -- \\"(1,1)\\";\\n  \\"(1,0)\\" -- \\"(2,0)\\";\\n}\\n","schema":"1"}\n'),
-    'find-minimal': (0, '{"command":"find-minimal","complete":true,"nodes":146,"query":{"image":"c8.json","m":0,"n":0,"size_cap":3},"schema":"1","sets":[{"indices":[0,2,5],"labels":["0","2","5"]},{"indices":[0,3,5],"labels":["0","3","5"]},{"indices":[0,3,6],"labels":["0","3","6"]},{"indices":[1,3,6],"labels":["1","3","6"]},{"indices":[1,4,6],"labels":["1","4","6"]},{"indices":[1,4,7],"labels":["1","4","7"]},{"indices":[2,4,7],"labels":["2","4","7"]},{"indices":[2,5,7],"labels":["2","5","7"]}]}\n'),
+    'find-minimal': (0, '{"command":"find-minimal","complete":true,"nodes":122,"query":{"image":"c8.json","m":0,"n":0,"size_cap":3},"schema":"1","sets":[{"indices":[0,2,5],"labels":["0","2","5"]},{"indices":[0,3,5],"labels":["0","3","5"]},{"indices":[0,3,6],"labels":["0","3","6"]},{"indices":[1,3,6],"labels":["1","3","6"]},{"indices":[1,4,6],"labels":["1","4","6"]},{"indices":[1,4,7],"labels":["1","4","7"]},{"indices":[2,4,7],"labels":["2","4","7"]},{"indices":[2,5,7],"labels":["2","5","7"]}]}\n'),
     'find-minimal-budget': (0, '{"command":"find-minimal","complete":true,"nodes":4,"query":{"image":"sq1.json","m":0,"n":0,"size_cap":4},"schema":"1","sets":[{"indices":[0,2,6,8],"labels":["(0,0)","(0,2)","(2,0)","(2,2)"]}]}\n'),
     'find-minimal-budget-hit': (2, '{"command":"find-minimal","complete":false,"nodes":40,"query":{"image":"c8.json","m":0,"n":0,"size_cap":3},"schema":"1","sets":[]}\n'),
     'freezing-budget': (2, '{"command":"verify-freezing","holds":null,"nodes":1,"query":{"image":"sq2.json","m":0,"minimal":false,"n":0,"set":"corners.json"},"schema":"1","witness":null}\n'),
     'freezing-fails': (1, '{"command":"verify-freezing","holds":false,"nodes":9,"query":{"image":"sq2.json","m":0,"minimal":false,"n":0,"set":"corners.json"},"schema":"1","witness":{"moves":[["(1,2)","(1,1)"],["(2,1)","(1,1)"]],"table":[0,1,2,3,4,4,6,4,8]}}\n'),
-    'freezing-minimal': (0, '{"command":"verify-freezing","holds":true,"nodes":27,"query":{"image":"c8.json","m":0,"minimal":true,"n":0,"set":"c8_035.json"},"schema":"1","witness":null}\n'),
-    'freezing-not-minimal': (1, '{"command":"verify-freezing","holds":false,"limiting_proper_subset":[0,3,6],"nodes":22,"query":{"image":"c8.json","m":0,"minimal":true,"n":0,"set":"c8_0356.json"},"schema":"1","witness":null}\n'),
+    'freezing-minimal': (0, '{"command":"verify-freezing","holds":true,"nodes":24,"query":{"image":"c8.json","m":0,"minimal":true,"n":0,"set":"c8_035.json"},"schema":"1","witness":null}\n'),
+    'freezing-not-minimal': (1, '{"command":"verify-freezing","holds":false,"limiting_proper_subset":[0,3,6],"nodes":16,"query":{"image":"c8.json","m":0,"minimal":true,"n":0,"set":"c8_0356.json"},"schema":"1","witness":null}\n'),
     'limiting-fails': (1, '{"command":"verify-limiting","holds":false,"nodes":9,"query":{"image":"sq2.json","m":1,"minimal":false,"n":1,"set":"corners.json"},"schema":"1","witness":{"moves":[["(0,1)","(0,0)"],["(0,2)","(0,1)"],["(1,0)","(0,0)"],["(1,1)","(0,0)"],["(1,2)","(0,0)"],["(2,0)","(1,0)"],["(2,1)","(0,0)"],["(2,2)","(1,1)"]],"table":[0,0,1,0,0,0,3,0,4]}}\n'),
     'limiting-holds': (0, '{"command":"verify-limiting","holds":true,"nodes":3,"query":{"image":"sq2.json","m":0,"minimal":false,"n":1,"set":"corners.json"},"schema":"1","witness":null}\n'),
     'limiting-minimal': (0, '{"command":"verify-limiting","holds":true,"nodes":15,"query":{"image":"tree.json","m":0,"minimal":true,"n":0,"set":"leaves.json"},"schema":"1","witness":null}\n'),
@@ -90,13 +90,13 @@ GOLDEN_HUMAN = {
     'classify-budget': (2, ''),
     'cold-minimal': (0, 'verify-cold: HOLDS (42 nodes, N ms)\n'),
     'export-dot': (0, 'graph digital_image {\n  "(0,0)";\n  "(1,0)";\n  "(1,1)";\n  "(2,0)";\n  "(0,0)" -- "(1,0)";\n  "(1,0)" -- "(1,1)";\n  "(1,0)" -- "(2,0)";\n}\n'),
-    'find-minimal': (0, 'find-minimal: 8 minimal sets, complete (146 nodes, 23 subsets searched, 70 skipped, N ms)\n  {0, 2, 5}\n  {0, 3, 5}\n  {0, 3, 6}\n  {1, 3, 6}\n  {1, 4, 6}\n  {1, 4, 7}\n  {2, 4, 7}\n  {2, 5, 7}\n'),
+    'find-minimal': (0, 'find-minimal: 8 minimal sets, complete (122 nodes, 23 subsets searched, 70 skipped, N ms)\n  {0, 2, 5}\n  {0, 3, 5}\n  {0, 3, 6}\n  {1, 3, 6}\n  {1, 4, 6}\n  {1, 4, 7}\n  {2, 4, 7}\n  {2, 5, 7}\n'),
     'find-minimal-budget': (0, 'find-minimal: 1 minimal sets, complete (4 nodes, 1 subsets searched, 255 skipped, N ms)\n  {(0,0), (0,2), (2,0), (2,2)}\n'),
     'find-minimal-budget-hit': (2, 'find-minimal: 0 minimal sets, INCOMPLETE (budget) (40 nodes, 6 subsets searched, 1 skipped, N ms)\n'),
     'freezing-budget': (2, 'verify-freezing: UNKNOWN (1 nodes, N ms)\n'),
     'freezing-fails': (1, 'verify-freezing: FAILS (9 nodes, N ms)\nwitness:\n  (1,2) -> (1,1)\n  (2,1) -> (1,1)\n'),
-    'freezing-minimal': (0, 'verify-freezing: HOLDS (27 nodes, N ms)\n'),
-    'freezing-not-minimal': (1, 'verify-freezing: FAILS (22 nodes, N ms)\nsmaller limiting subset: [0, 3, 6]\n'),
+    'freezing-minimal': (0, 'verify-freezing: HOLDS (24 nodes, N ms)\n'),
+    'freezing-not-minimal': (1, 'verify-freezing: FAILS (16 nodes, N ms)\nsmaller limiting subset: [0, 3, 6]\n'),
     'limiting-fails': (1, 'verify-limiting: FAILS (9 nodes, N ms)\nwitness:\n  (0,1) -> (0,0)\n  (0,2) -> (0,1)\n  (1,0) -> (0,0)\n  (1,1) -> (0,0)\n  (1,2) -> (0,0)\n  (2,0) -> (1,0)\n  (2,1) -> (0,0)\n  (2,2) -> (1,1)\n'),
     'limiting-holds': (0, 'verify-limiting: HOLDS (3 nodes, N ms)\n'),
     'limiting-minimal': (0, 'verify-limiting: HOLDS (15 nodes, N ms)\n'),

@@ -184,6 +184,15 @@ def test_n_map_on_restriction(square_c2, corners_c2):
     assert is_n_map_on(f, 0, 0)  # empty restriction is always bounded
 
 
+def test_n_map_on_reads_only_the_masked_rows():
+    """One masked vertex of a 1,024-vertex box costs one breadth-first
+    row, not the all-pairs table."""
+    img = build_box([(0, 31), (0, 31)], 2)
+    f = MapTable(img, img, (1,) + tuple(range(1, img.n)))
+    assert is_n_map_on(f, 1, 1) and not is_n_map_on(f, 1, 0)
+    assert img._dist_lists is None
+
+
 def test_retraction(square_c2):
     pull = from_point_function(
         square_c2,
