@@ -149,6 +149,10 @@ def map_from_spec(
         for e in entries:
             src, dst = e
             i = _vertex_of(dom, src, source)
+            if table[i] is not None:
+                raise InputFileError(
+                    f"{source}: vertex {dom.vertex_label(i)} is listed twice in field 'table'"
+                )
             table[i] = _vertex_of(cod, dst, source)
         if any(v is None for v in table):
             raise InputFileError(f"{source}: field 'table' does not cover the domain")

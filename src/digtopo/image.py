@@ -80,11 +80,10 @@ class AdjacencyKind(NamedTuple):
 class DigitalImage:
     """A finite digital image with canonically ordered vertices.
 
-    Instances are immutable after construction; the all-pairs metric, the
-    ball tables and (for cycles) the circular indexing are computed lazily
-    and cached.  Equality and hashing are structural over (points,
-    adjacency bitmasks) so that separately built copies of the same image
-    interoperate.
+    Instances are immutable after construction; the all-pairs metric and
+    the ball tables are computed lazily and cached.  Equality and hashing
+    are structural over (points, adjacency bitmasks) so that separately
+    built copies of the same image interoperate.
     """
 
     __slots__ = (
@@ -98,7 +97,6 @@ class DigitalImage:
         "factor_tuples",
         "_dist_lists",
         "_balls",
-        "_cycle",
     )
 
     def __init__(
@@ -123,7 +121,6 @@ class DigitalImage:
         self.factor_tuples = factor_tuples
         self._dist_lists = None
         self._balls = None
-        self._cycle = None
 
     # -- structure ---------------------------------------------------------
 

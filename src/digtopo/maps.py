@@ -15,7 +15,6 @@ is the first in search order.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -42,7 +41,8 @@ DEFAULT_MAX_VERTICES = 16
 #: Default cap on attempted assignments in a counterexample search.
 DEFAULT_NODE_BUDGET = 5_000_000
 
-#: Default cap on maps visited by the homotopy breadth-first search.
+#: Default cap on maps visited by the homotopy breadth-first search, and
+#: on maps classified by the cycle census (the CLI's --budget-maps).
 DEFAULT_MAX_VISITED = 200_000
 
 
@@ -314,20 +314,21 @@ class _Query:
         if m < 0 or n < 0:
             raise ValueError("displacement bounds must be nonnegative")
         _check_vertex_cap("search", max_vertices, img.n)
+        self.img, self.m, self.full = img, m, (1 << img.n) - 1
+        self.set_n(n)  # builds the metric, so the connectivity test reads its row 0
         if not img.is_connected():
             raise Disconnected("counterexample search requires a connected image")
-        self.img, self.m, self.full = img, m, (1 << img.n) - 1
         self.budget, self.nodes, self.cuts = node_budget, [0], [None] * img.n**2
         # A connected image of 4 or more vertices, each of degree 2, is a
         # cycle; pos[x] is x's place in its walk.
         self.pos = None
         if img.n >= 4 and all(b.bit_count() == 2 for b in img.neighbor_masks):
             self.pos = sorted(range(img.n), key=cycle_indexing(img).__getitem__)
-        self.set_n(n)
 
     def set_n(self, n: int) -> None:
-        # The image is connected, so a radius past its diameter allows every
-        # vertex and a violation past it is impossible.
+        # A query's image is connected (__init__ refuses any other), so a
+        # radius past its diameter allows every vertex and a violation past
+        # it is impossible.
         self.n, balls = n, self.img.ball_masks()
         self.viol = [self.full & ~by_r[n] if n < len(by_r) else 0 for by_r in balls]
 
@@ -547,16 +548,9 @@ class CycleMapClass(NamedTuple):
 def cycle_indexing(img: DigitalImage) -> tuple[int, ...]:
     """Circular vertex order of a cycle image, derived deterministically.
 
-    Starts at vertex 0 and walks toward its lowest-index neighbor.  The
-    walk is derived once and cached on the image; an image that is not a
-    cycle raises NotACycle on every call.
+    Starts at vertex 0 and walks toward its lowest-index neighbor, anew on
+    every call; an image that is not a cycle raises NotACycle.
     """
-    if img._cycle is None:
-        img._cycle = _walk_cycle(img)
-    return img._cycle
-
-
-def _walk_cycle(img: DigitalImage) -> tuple[int, ...]:
     if img.n < 4:
         raise NotACycle("cycles have at least 4 vertices")
     if any(img.degree(i) != 2 for i in range(img.n)):
@@ -603,44 +597,33 @@ def flip_map(img: DigitalImage) -> MapTable:
 _NONSURJECTIVE = CycleMapClass(NONSURJECTIVE)
 
 
-@functools.lru_cache(maxsize=64)
-def _automorphisms(idx: tuple[int, ...]) -> dict[tuple[int, ...], CycleMapClass]:
-    """Class of each of the 2v automorphism tables of the cycle walked by
-    idx: the rotations and the flipped rotations by every d."""
-    out = {}
-    for d in range(len(idx)):
-        out[_position_table(idx, d, 1)] = CycleMapClass(ROTATION, d)
-        out[_position_table(idx, d, -1)] = CycleMapClass(FLIP_ROTATION, d)
-    return out
-
-
-def _classify_table(
-    table: tuple[int, ...], autos: dict[tuple[int, ...], CycleMapClass]
-) -> CycleMapClass:
-    """Class of a continuous self-map table of a cycle, given the cycle's
-    automorphism tables.
+def _classify_table(table: tuple[int, ...], idx: tuple[int, ...]) -> CycleMapClass:
+    """Class of a continuous self-map table of the cycle walked by idx.
 
     Surjective continuous self-maps of a cycle are exactly its graph
-    automorphisms, so every such table is nonsurjective or one of autos;
-    anything else raises Unclassifiable.
+    automorphisms, and an automorphism is fixed by the images of positions
+    0 and 1: f(idx[0]) sits at position d, and f(idx[1]) one step after it
+    for a rotation by d, else one step before it for a flip.  A surjective
+    table that differs from that automorphism raises Unclassifiable.
     """
     if len(set(table)) < len(table):
         return _NONSURJECTIVE
-    cls = autos.get(table)
-    if cls is None:
+    d = idx.index(table[idx[0]])
+    step = 1 if idx[(d + 1) % len(idx)] == table[idx[1]] else -1
+    if table != _position_table(idx, d, step):
         raise Unclassifiable("surjective cycle self-map is not an automorphism")
-    return cls
+    return CycleMapClass(ROTATION if step == 1 else FLIP_ROTATION, d)
 
 
 def classify_cycle_map(img: DigitalImage, f: MapTable) -> CycleMapClass:
     """Classify a continuous cycle self-map: nonsurjective, a rotation, or
     a flipped rotation; anything else raises Unclassifiable."""
-    autos = _automorphisms(cycle_indexing(img))
+    idx = cycle_indexing(img)
     if f.domain != img or f.codomain != img:
         raise DomainMismatch("map is not a self-map of the given cycle")
     if not is_continuous(f):
         raise ValueError("cycle classification applies to continuous maps")
-    return _classify_table(f.table, autos)
+    return _classify_table(f.table, idx)
 
 
 class CycleCensus(NamedTuple):
@@ -665,14 +648,14 @@ def cycle_map_census(img: DigitalImage, *, max_maps: int) -> CycleCensus:
     """
     if max_maps < 0:
         raise ValueError("max_maps must be nonnegative")
-    autos = _automorphisms(cycle_indexing(img))
+    idx = cycle_indexing(img)
     counts = dict.fromkeys((NONSURJECTIVE, ROTATION, FLIP_ROTATION), 0)
     unclassified = 0
     for total, f in enumerate(continuous_maps_between(img, img), 1):
         if total > max_maps:
             raise BudgetExceeded(f"classification stopped after {max_maps} maps")
         try:
-            counts[_classify_table(f.table, autos).kind] += 1
+            counts[_classify_table(f.table, idx).kind] += 1
         except Unclassifiable:
             unclassified += 1
     return CycleCensus(counts, unclassified)

@@ -51,18 +51,20 @@ def hausdorff(img: DigitalImage, mask0: SubsetMask, mask1: SubsetMask) -> int:
 
 
 def _min_max_displacement(
-    img: DigitalImage, dom_ids: list[int], cod_ids: list[int]
+    img: DigitalImage,
+    dom: tuple[DigitalImage, tuple[int, ...]],
+    cod: tuple[DigitalImage, tuple[int, ...]],
 ) -> int:
     """Least achievable maximum ambient displacement over continuous maps
-    from the first induced subset into the second.
+    from the first induced subset into the second, each given as induced
+    returns it.
 
     A downward threshold scan on the search kernel: look for a map moving
     every point at most t, starting one below the best constant map.
     Each map found lowers t to one below its own worst displacement, so
     the first search that finds nothing proves the answer is t + 1.
     """
-    dom_img, _ = induced(img, mask_from_indices(dom_ids))
-    cod_img, _ = induced(img, mask_from_indices(cod_ids))
+    (dom_img, dom_ids), (cod_img, cod_ids) = dom, cod
     dist, balls = dom_img.dist_lists(), cod_img.ball_masks()
     cost = [[row[b] for b in cod_ids] for row in map(img.dist_row, dom_ids)]
     t = min(max(col) for col in zip(*cost)) - 1
@@ -91,9 +93,10 @@ def metric_of_continuity(
     a = _subset_ids(img, mask0)
     b = _subset_ids(img, mask1)
     _check_vertex_cap("metric of continuity", DEFAULT_MAX_VERTICES, len(a), len(b))
+    sub0, sub1 = induced(img, mask0), induced(img, mask1)
     return max(
-        _min_max_displacement(img, a, b),
-        _min_max_displacement(img, b, a),
+        _min_max_displacement(img, sub0, sub1),
+        _min_max_displacement(img, sub1, sub0),
     )
 
 

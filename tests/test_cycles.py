@@ -63,13 +63,20 @@ def test_census(v):
 
 def test_surjective_non_automorphism_is_unclassifiable(cycle8):
     """The table classifier shared by classify_cycle_map and the census
-    refuses a surjective table that is no rotation or flip."""
-    autos = maps._automorphisms(cycle_indexing(cycle8))
-    assert len(autos) == 16
+    classifies each of the 2v automorphisms and refuses a surjective table
+    that is no rotation or flip, even one that agrees with the identity at
+    positions 0 and 1."""
+    idx = cycle_indexing(cycle8)
+    for d in range(8):
+        for step, kind in ((1, ROTATION), (-1, FLIP_ROTATION)):
+            table = maps._position_table(idx, d, step)
+            assert maps._classify_table(table, idx) == CycleMapClass(kind, d)
     swap = (1, 0) + tuple(range(2, 8))
-    with pytest.raises(Unclassifiable):
-        maps._classify_table(swap, autos)
-    assert maps._classify_table(identity(cycle8).table, autos) == CycleMapClass(ROTATION, 0)
+    late = list(range(8))
+    late[idx[4]], late[idx[5]] = idx[5], idx[4]
+    for table in (swap, tuple(late)):
+        with pytest.raises(Unclassifiable):
+            maps._classify_table(table, idx)
 
 
 def test_census_budget_and_arguments(path3):
@@ -218,7 +225,6 @@ def test_cached_classification_on_grid_cycle():
 def test_cycle_indexing_is_cached_and_structural(path3):
     img, _ = build_cycle(9)
     first = cycle_indexing(img)
-    assert cycle_indexing(img) is first
     twin, _ = build_cycle(9)
     assert twin is not img and cycle_indexing(twin) == first
     grid, _ = cycle_grid(8)

@@ -93,6 +93,24 @@ def test_map_forms(path3):
         map_from_spec({}, path3)
 
 
+def test_map_index_pairs(path3):
+    """Pairs of vertex indices load on an abstract image; a source listed
+    twice, in either form, an index out of range and a table that misses a
+    vertex are refused."""
+    c4, _ = build_cycle(4)
+    assert map_from_spec({"table": [[0, 1], [1, 2], [3, 0], [2, 3]]}, c4).table == (1, 2, 3, 0)
+    refused = {
+        "vertex 0 is listed twice": ([[0, 1], [0, 2], [1, 1], [2, 2], [3, 3]], c4),
+        r"vertex \(0\) is listed twice": ([[[0], [2]], [[0], [1]], [[1], [1]], [[2], [0]]], path3),
+        "index 4 out of range": ([[0, 4], [1, 1], [2, 2], [3, 3]], c4),
+        "index -1 out of range": ([[-1, 0], [1, 1], [2, 2], [3, 3]], c4),
+        "does not cover": ([[0, 1], [1, 2], [2, 3]], c4),
+    }
+    for message, (table, img) in refused.items():
+        with pytest.raises(InputFileError, match=message):
+            map_from_spec({"table": table}, img)
+
+
 def test_map_round_trip(path3):
     f = identity(path3)
     spec = map_to_spec(f)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from digtopo import image as image_module
 from digtopo.errors import (
     BadCycleLength,
     BudgetExceeded,
@@ -352,6 +353,21 @@ def test_each_query_checks_connectivity_once(monkeypatch, square_c1, cycle8):
     calls.clear()
     assert find_minimal_limiting_sets(cycle8, 0, 0, 3).searched > 1
     assert len(calls) == 1
+
+
+def test_query_builds_each_metric_row_once(monkeypatch):
+    """A query on a fresh image builds the metric before its connectivity
+    test, which then reads row 0 from it: 9 breadth-first rows on a 3x3
+    box, not a tenth for the test."""
+    calls = []
+    bfs_row = image_module._bfs_row
+    monkeypatch.setattr(
+        image_module, "_bfs_row", lambda masks, x: calls.append(x) or bfs_row(masks, x)
+    )
+    img = build_box([(0, 2), (0, 2)], 1)
+    corners = mask_from_points(img, [(0, 0), (0, 2), (2, 0), (2, 2)])
+    assert is_limiting(img, corners, 0, 0).holds
+    assert sorted(calls) == list(range(9))
 
 
 def _minimal_sets_by_plain_scan(img, m, n, cap):

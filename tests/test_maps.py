@@ -24,6 +24,7 @@ from digtopo.image import (
 from digtopo.maps import (
     MapTable,
     SearchOutcome,
+    classify_cycle_map,
     compose,
     constant,
     continuous_maps_between,
@@ -86,6 +87,35 @@ def test_identity_constant_compose(path3):
 def test_compose_domain_mismatch(path3, seg):
     with pytest.raises(DomainMismatch):
         compose(identity(path3), identity(seg))
+
+
+# Each refusal takes c, a map from the 8-cycle to a path, and j, a
+# discontinuous self-map of the 8-cycle that fixes every vertex of its image.
+_REFUSALS = {
+    "fixed_points": (lambda c, j: fixed_points(c), DomainMismatch),
+    "displacement": (lambda c, j: displacement(c), DomainMismatch),
+    "is_n_map_on": (lambda c, j: is_n_map_on(c, 1, 0), DomainMismatch),
+    "is_retraction": (lambda c, j: is_retraction(c), DomainMismatch),
+    "classify": (lambda c, j: classify_cycle_map(c.domain, c), DomainMismatch),
+    "classify_discontinuous": (lambda c, j: classify_cycle_map(j.domain, j), ValueError),
+    "homotopy_discontinuous": (lambda c, j: is_homotopic(j, identity(j.domain)), ValueError),
+    "retraction_discontinuous": (lambda c, j: is_retraction(j), False),
+}
+
+
+@pytest.mark.parametrize("name", _REFUSALS)
+def test_self_map_checks_refuse_other_maps(cycle8, path3, name):
+    """Self-map checks refuse a map between two images, and continuity
+    checks refuse (or, for a retraction, answer False for) a discontinuous
+    one."""
+    cross = MapTable(cycle8, path3, (0,) * 8)
+    jump = MapTable(cycle8, cycle8, (0, 4, 2, 3, 4, 5, 6, 7))
+    call, refusal = _REFUSALS[name]
+    if refusal is False:
+        assert call(cross, jump) is False
+    else:
+        with pytest.raises(refusal):
+            call(cross, jump)
 
 
 def test_from_point_function(square_c2):

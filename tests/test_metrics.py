@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from digtopo import metrics
 from digtopo.errors import (
     BudgetExceeded,
     Disconnected,
@@ -63,6 +64,19 @@ def test_subset_distances_read_only_the_subset_rows():
     center = mask_from_points(img, [(31, 31)])
     assert is_k_cover(img, center, 32) and not is_k_cover(img, center, 31)
     assert img._dist_lists is None
+
+
+def test_metric_of_continuity_induces_each_subset_once(monkeypatch, square_c1):
+    """Both directions share the two induced subimages and their tables."""
+    calls = []
+    induced = metrics.induced
+    monkeypatch.setattr(
+        metrics, "induced", lambda img, mask: calls.append(mask) or induced(img, mask)
+    )
+    top = mask_from_points(square_c1, [(0, 2), (1, 2), (2, 2)])
+    corner = mask_from_points(square_c1, [(0, 0), (1, 0), (0, 1)])
+    assert metric_of_continuity(square_c1, top, corner) == 3
+    assert calls == [top, corner]
 
 
 def test_hausdorff_fixtures(square_c1):
