@@ -175,7 +175,7 @@ class DigitalImage:
             raise ValueError(f"vertex {x} out of range")
         if self._dist_lists is not None:
             return self._dist_lists[x]
-        return _bfs_row(self.neighbor_masks, x)
+        return _bfs_row(self.neighbor_masks, 1 << x)
 
     def ball_masks(self) -> tuple[tuple[int, ...], ...]:
         """Metric balls as bitmasks: ball_masks()[v][r] holds the vertices
@@ -555,9 +555,10 @@ def induced(img: DigitalImage, mask: SubsetMask) -> tuple[DigitalImage, tuple[in
 # -- metric and queries ----------------------------------------------------
 
 
-def _bfs_row(masks: Sequence[int], x: int) -> list[int]:
-    """Breadth-first distances from x over neighbour bitmasks, INF for
-    vertices in other components.
+def _bfs_row(masks: Sequence[int], seed: SubsetMask) -> list[int]:
+    """Breadth-first distances from the seed set over neighbour bitmasks:
+    each vertex's distance to the nearest seed vertex, INF where no seed
+    vertex reaches (everywhere for an empty seed).
 
     Each layer is one mask: the union of the previous layer's neighbour
     masks, less the vertices already seen.  A layer is emptied from its
@@ -566,7 +567,7 @@ def _bfs_row(masks: Sequence[int], x: int) -> list[int]:
     counts on images of thousands of vertices.
     """
     row = [INF] * len(masks)
-    seen = layer = 1 << x
+    seen = layer = seed
     d = 0
     while layer:
         grown = 0
@@ -583,7 +584,7 @@ def _bfs_row(masks: Sequence[int], x: int) -> list[int]:
 
 def _all_pairs_distances(img: DigitalImage) -> list[list[int]]:
     masks = img.neighbor_masks
-    return [_bfs_row(masks, x) for x in range(img.n)]
+    return [_bfs_row(masks, 1 << x) for x in range(img.n)]
 
 
 def metric(img: DigitalImage) -> np.ndarray:
@@ -604,8 +605,9 @@ def diameter(img: DigitalImage) -> int:
 
 
 def metric_ball(img: DigitalImage, x: int, m: int) -> SubsetMask:
-    """Mask of vertices within distance m of x."""
-    out = 0
+    """Mask of vertices within distance m of x; another component's
+    vertices are within no distance, however large."""
+    out, m = 0, min(m, INF - 1)
     for j, d in enumerate(img.dist_row(x)):
         if d <= m:
             out |= 1 << j
@@ -651,13 +653,12 @@ def unique_shortest_path(img: DigitalImage, x: int, y: int) -> list[int] | None:
 
 
 def is_k_cover(img: DigitalImage, mask: SubsetMask, k: int) -> bool:
-    """Every vertex lies within distance k of some vertex of the subset."""
+    """Every vertex lies within distance k of the subset, by one search
+    seeded with it; a vertex it does not reach is within no k."""
     check_mask(img, mask)
     if k < 0:
         raise ValueError("cover radius must be nonnegative")
-    if mask == 0:
-        return img.n == 0
-    return all(min(col) <= k for col in zip(*map(img.dist_row, _bits(mask))))
+    return max(_bfs_row(img.neighbor_masks, mask)) <= min(k, INF - 1)
 
 
 def is_dominating(img: DigitalImage, mask: SubsetMask) -> bool:

@@ -303,7 +303,7 @@ def cycle_triple_bound(img: DigitalImage, i: int, j: int, k: int) -> int:
     threshold.
 
     Soundness is the longest-gap bound that the counterexample search
-    applies to every cycle subset (maps._Query.search): a subset whose
+    applies to every cycle subset (maps._Query.tables): a subset whose
     longest gap g has 2m + 2g < v is (m, n)-limiting for every n >= m,
     by lifting each arc's image to the integer line.
 

@@ -30,6 +30,7 @@ from .image import (
     INF,
     DigitalImage,
     SubsetMask,
+    _bfs_row,
     _bits,
     check_mask,
     mask_from_indices,
@@ -161,12 +162,13 @@ def is_n_map_on(f: MapTable, mask: SubsetMask, n: int) -> bool:
     """The restriction of f to the masked set is continuous (under the
     induced adjacency) and moves each of its vertices at most n.
 
-    An empty set restricts vacuously, so the answer is then True.
+    An empty set restricts vacuously, so the answer is then True.  A
+    vertex sent to another component moves farther than any n.
     """
     if f.domain != f.codomain:
         raise DomainMismatch("restricted displacement requires a self-map")
     check_mask(f.domain, mask)
-    row, t = f.domain.dist_row, f.table
+    row, t, n = f.domain.dist_row, f.table, min(n, INF - 1)
     if any(row(a)[t[a]] > n for a in _bits(mask)):
         return False
     return _continuous_on(f, mask)
@@ -288,17 +290,10 @@ class SearchOutcome(NamedTuple):
 
 
 def _bfs_order_from(img: DigitalImage, mask: SubsetMask) -> list[int]:
-    """Vertices sorted by breadth-first distance from the masked set,
-    ties broken by canonical index.  An empty set gives canonical order.
-
-    The distance from the set is the least metric distance to one of its
-    vertices, read from the cached metric rows.
-    """
-    rows = [img.dist_lists()[a] for a in _bits(mask)]
-    if not rows:
-        return list(range(img.n))
-    da = [min(col) for col in zip(*rows)]
-    return sorted(range(img.n), key=da.__getitem__)
+    """Vertices sorted by breadth-first distance from the masked set, one
+    search seeded with it, ties broken by canonical index.  An empty set
+    reaches nothing, so the stable sort keeps canonical order."""
+    return sorted(range(img.n), key=_bfs_row(img.neighbor_masks, mask).__getitem__)
 
 
 class _Query:
@@ -336,8 +331,25 @@ class _Query:
         """One subset's counterexample tables: vertices assigned
         breadth-first from the subset, subset vertices kept within m, and
         some vertex placed on a value in viol.  A subset that cannot
-        violate gives an empty iterator and no node."""
+        violate gives an empty iterator and no node.
+
+        On a v-cycle, a nonempty subset whose longest gap g between
+        cyclically consecutive positions has 2m + 2g < v holds for every
+        n >= m, so it cannot violate.  Let f be continuous and move each
+        subset position at most m.  Lift the image of an arc a -> b
+        between consecutive positions, of length h <= g, to the integer
+        line: a walk of h steps from a + e to b + d + kv with |e|, |d| <= m.
+        A walk of h steps spans at most h, so k != 0 would need
+        v <= 2h + 2m, which 2m + 2g < v excludes.  With k = 0 the point
+        a + t lands within t of a + e and within h - t of b + d, hence in
+        [a + t - m, a + t + m].  The arcs cover the cycle, so f is an
+        m-map, and an n-map.
+        """
         check_mask(self.img, subset)
+        if self.pos and subset and self.n >= self.m:
+            v = len(self.pos)
+            if 2 * (self.m + _longest_gap(v, sorted(self.pos[a] for a in _bits(subset)))) < v:
+                return iter(())
         balls = self.img.ball_masks()
         cand = [self.full] * self.img.n
         for a in _bits(subset):
@@ -350,26 +362,8 @@ class _Query:
         )
 
     def search(self, subset: SubsetMask) -> SearchOutcome:
-        """First counterexample for one subset, with the nodes it spent.
-
-        On a v-cycle, a nonempty subset whose longest gap g between
-        cyclically consecutive positions has 2m + 2g < v holds for every
-        n >= m, so it is exhausted with no node.  Let f be continuous and
-        move each subset position at most m.  Lift the image of an arc
-        a -> b between consecutive positions, of length h <= g, to the
-        integer line: a walk of h steps from a + e to b + d + kv with
-        |e|, |d| <= m.  A walk of h steps spans at most h, so k != 0 would
-        need v <= 2h + 2m, which 2m + 2g < v excludes.  With k = 0 the
-        point a + t lands within t of a + e and within h - t of b + d,
-        hence in [a + t - m, a + t + m].  The arcs cover the cycle, so f
-        is an m-map, and an n-map.  A witness still comes only from the
-        search, so it stays the first in search order.
-        """
-        check_mask(self.img, subset)
-        if self.pos and subset and self.n >= self.m:
-            v = len(self.pos)
-            if 2 * (self.m + _longest_gap(v, sorted(self.pos[a] for a in _bits(subset)))) < v:
-                return SearchOutcome("exhausted", None, 0)
+        """First counterexample for one subset, with the nodes it spent:
+        the first of tables, so a witness is the first in search order."""
         start = self.nodes[0]
         try:
             w = next(self.tables(subset), None)

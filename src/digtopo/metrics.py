@@ -1,6 +1,7 @@
 """Distances between subsets of one image, and the diameter drop bound.
 
-The Hausdorff distance uses the ambient shortest-path metric directly.
+The Hausdorff distance reads two breadth-first searches, each seeded with
+one subset, which give every vertex's ambient distance to that subset.
 The metric of continuity is map-based: the least t such that continuous
 maps exist in both directions between the two subsets (each carrying the
 adjacency induced on it) moving every point at most t through the ambient
@@ -11,8 +12,10 @@ from __future__ import annotations
 
 from .errors import Disconnected, DomainMismatch, EmptySubset, NotAnMMap
 from .image import (
+    INF,
     DigitalImage,
     SubsetMask,
+    _bfs_row,
     _bits,
     check_mask,
     induced,
@@ -43,30 +46,23 @@ def hausdorff(img: DigitalImage, mask0: SubsetMask, mask1: SubsetMask) -> int:
         raise Disconnected("subset distances require a connected ambient image")
     a = _subset_ids(img, mask0)
     b = _subset_ids(img, mask1)
-    rows = [img.dist_row(x) for x in a]
-    return max(
-        max(min(row[y] for y in b) for row in rows),
-        max(min(row[y] for row in rows) for y in b),
-    )
+    to_a, to_b = (_bfs_row(img.neighbor_masks, m) for m in (mask0, mask1))
+    return max(max(to_b[x] for x in a), max(to_a[y] for y in b))
 
 
 def _min_max_displacement(
-    img: DigitalImage,
-    dom: tuple[DigitalImage, tuple[int, ...]],
-    cod: tuple[DigitalImage, tuple[int, ...]],
+    dom: DigitalImage, cod: DigitalImage, cost: list[list[int]]
 ) -> int:
     """Least achievable maximum ambient displacement over continuous maps
-    from the first induced subset into the second, each given as induced
-    returns it.
+    from the first induced subimage into the second, where cost[i][j] is
+    the ambient distance from dom's vertex i to cod's vertex j.
 
     A downward threshold scan on the search kernel: look for a map moving
     every point at most t, starting one below the best constant map.
     Each map found lowers t to one below its own worst displacement, so
     the first search that finds nothing proves the answer is t + 1.
     """
-    (dom_img, dom_ids), (cod_img, cod_ids) = dom, cod
-    dist, balls = dom_img.dist_lists(), cod_img.ball_masks()
-    cost = [[row[b] for b in cod_ids] for row in map(img.dist_row, dom_ids)]
+    dist, balls = dom.dist_lists(), cod.ball_masks()
     t = min(max(col) for col in zip(*cost)) - 1
     while t >= 0:
         cand = [
@@ -87,23 +83,30 @@ def metric_of_continuity(
     """Least t admitting continuous maps both ways between the subsets
     (induced adjacency) that move every point at most t in the ambient
     metric.  The two directions minimize independently; their maxima
-    combine as the larger of the two minima."""
+    combine as the larger of the two minima.  One cost matrix, read from
+    the rows of mask0's vertices, serves both: its transpose is the cost
+    of the direction from mask1."""
     if not img.is_connected():
         raise Disconnected("subset distances require a connected ambient image")
     a = _subset_ids(img, mask0)
     b = _subset_ids(img, mask1)
     _check_vertex_cap("metric of continuity", DEFAULT_MAX_VERTICES, len(a), len(b))
-    sub0, sub1 = induced(img, mask0), induced(img, mask1)
+    (sub0, _), (sub1, _) = induced(img, mask0), induced(img, mask1)
+    cost = [[row[y] for y in b] for row in map(img.dist_row, a)]
     return max(
-        _min_max_displacement(img, sub0, sub1),
-        _min_max_displacement(img, sub1, sub0),
+        _min_max_displacement(sub0, sub1, cost),
+        _min_max_displacement(sub1, sub0, [list(col) for col in zip(*cost)]),
     )
 
 
 def subset_diameter_ambient(img: DigitalImage, mask: SubsetMask) -> int:
-    """Diameter of the subset measured with ambient distances."""
+    """Diameter of the subset measured with ambient distances; a subset
+    that spans components has none."""
     ids = _subset_ids(img, mask)
-    return max(max(row[b] for b in ids) for row in map(img.dist_row, ids))
+    d = max(max(row[b] for b in ids) for row in map(img.dist_row, ids))
+    if d >= INF:
+        raise Disconnected("the subset spans more than one component")
+    return d
 
 
 def subset_diameter_induced(img: DigitalImage, mask: SubsetMask) -> int:

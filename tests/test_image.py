@@ -22,6 +22,7 @@ from digtopo.errors import (
 from digtopo.image import (
     DEFAULT_POINT_BUDGET,
     INF,
+    _bfs_row,
     apply_grid_isometry,
     boundary,
     build_box,
@@ -330,6 +331,24 @@ def test_metric_matches_bfs_oracle(img):
     assert metric(img).tolist() == expect
 
 
+@given(metric_inputs, st.data())
+@settings(max_examples=120, deadline=None)
+def test_seeded_search_is_the_distance_to_the_seed_set(img, data):
+    """A search seeded with a set gives each vertex its least distance to
+    the set's vertices, INF where none reaches (everywhere for the empty
+    seed), and is_k_cover reads its largest entry."""
+    dist = oracle.all_distances(img)
+    for seed in (0, data.draw(st.integers(0, (1 << img.n) - 1))):
+        least = [
+            min((dist[a][v] for a in mask_indices(seed)), default=oracle.INF)
+            for v in range(img.n)
+        ]
+        expect = [INF if d == oracle.INF else d for d in least]
+        assert _bfs_row(img.neighbor_masks, seed) == expect
+        for k in (0, 1, 2, 3, INF - 1, INF, 10**6):
+            assert is_k_cover(img, seed, k) == all(d <= k for d in least)
+
+
 # c1, c2 and c3 point sets in one to three dimensions
 grid_images = st.integers(1, 3).flatmap(
     lambda d: st.tuples(
@@ -421,6 +440,14 @@ def test_metric_ball_excludes_unreachable():
     assert mask_indices(metric_ball(img, 0, 100)) == [0]
 
 
+def test_metric_ball_never_reaches_another_component():
+    """Another component lies within no radius, the INF sentinel's own
+    value and any larger one included."""
+    img = build_explicit(3, [(0, 1)])
+    for m in (1, INF, 10**6):
+        assert metric_ball(img, 0, m) == 0b011
+
+
 @given(point_sets, st.integers(1, 2))
 @settings(max_examples=40, deadline=None)
 def test_ball_masks_match_metric_balls(pts, u):
@@ -479,6 +506,16 @@ def test_cover_and_dominating(path3):
     end = mask_from_indices([0])
     assert not is_k_cover(path3, end, 1)
     assert is_k_cover(path3, end, 2)
+
+
+def test_k_cover_never_reaches_another_component():
+    """A vertex no subset vertex reaches is covered by no radius, the INF
+    sentinel's own value and any larger one included."""
+    img = build_explicit(3, [(0, 1)])
+    for k in (1, INF, 10**6):
+        assert not is_k_cover(img, 0b001, k)
+        assert is_k_cover(img, 0b101, k)
+    assert not is_k_cover(img, 0, INF)
 
 
 def test_isometry_preserves_structure(square_c2):

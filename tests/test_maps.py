@@ -11,6 +11,7 @@ import oracle
 from digtopo import maps
 from digtopo.errors import BudgetExceeded, Disconnected, DomainMismatch
 from digtopo.image import (
+    INF,
     build_box,
     build_cycle,
     build_explicit,
@@ -18,6 +19,7 @@ from digtopo.image import (
     full_mask,
     mask_from_indices,
     mask_from_points,
+    mask_indices,
     metric,
     product,
 )
@@ -214,6 +216,16 @@ def test_n_map_on_restriction(square_c2, corners_c2):
     assert is_n_map_on(f, 0, 0)  # empty restriction is always bounded
 
 
+def test_n_map_on_never_moves_across_components():
+    """A vertex sent to another component moves farther than any n, the
+    INF sentinel's own value included."""
+    img = build_explicit(3, [(0, 1)])
+    f = MapTable(img, img, (0, 1, 0))
+    assert not is_n_map_on(f, 0b100, INF)
+    assert not is_n_map_on(f, 0b100, 10**6)
+    assert is_n_map_on(f, 0b011, 0)
+
+
 def test_n_map_on_reads_only_the_masked_rows():
     """One masked vertex of a 1,024-vertex box costs one breadth-first
     row, not the all-pairs table."""
@@ -344,6 +356,25 @@ def test_search_agrees_with_oracle_on_small_graphs():
                         w.table for w in iter_counterexamples(img, subset, m, nn)
                     )
                     assert got == want, (n, edges, size, m, nn)
+
+
+@pytest.mark.parametrize(
+    "img",
+    [build_box([(0, 2), (0, 2)], 1), build_box([(0, 2), (0, 2)], 2), build_cycle(8)[0]],
+    ids=["box3x3c1", "box3x3c2", "C8"],
+)
+def test_bfs_order_from_matches_the_least_row_order(img):
+    """The search order seeded with a set sorts vertices as the least of
+    the set's metric rows does, ties by canonical index, on every subset;
+    the empty set keeps canonical order."""
+    dist = img.dist_lists()
+    for mask in range(1 << img.n):
+        rows = [dist[a] for a in mask_indices(mask)]
+        expect = list(range(img.n))
+        if rows:
+            least = [min(col) for col in zip(*rows)]
+            expect = sorted(range(img.n), key=least.__getitem__)
+        assert maps._bfs_order_from(img, mask) == expect
 
 
 def test_search_first_witness_deterministic(square_c2, corners_c2):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from digtopo import image as image_module
 from digtopo import metrics
 from digtopo.errors import (
     BudgetExceeded,
@@ -19,11 +20,13 @@ from digtopo.errors import (
 from digtopo.image import (
     build_box,
     build_cycle,
+    build_explicit,
     build_from_points,
     full_mask,
     is_k_cover,
     mask_from_indices,
     mask_from_points,
+    mask_indices,
     metric_ball,
     unique_shortest_path,
 )
@@ -64,6 +67,39 @@ def test_subset_distances_read_only_the_subset_rows():
     center = mask_from_points(img, [(31, 31)])
     assert is_k_cover(img, center, 32) and not is_k_cover(img, center, 31)
     assert img._dist_lists is None
+
+
+def test_subset_distances_run_one_search_per_set(monkeypatch):
+    """On a fresh 64x64 box the Hausdorff distance runs its connectivity
+    row and one search seeded with each set; the metric of continuity its
+    connectivity row and the rows of set0 only.  That is 5 one-vertex
+    searches and 2 set searches over the box, and never its full table;
+    the 3-vertex subimages' own tables are not counted."""
+    calls = []
+    bfs_row = image_module._bfs_row
+
+    def record(masks, seed):
+        if len(masks) == img.n:
+            calls.append(seed)
+        return bfs_row(masks, seed)
+
+    for module in (image_module, metrics):
+        monkeypatch.setattr(module, "_bfs_row", record)
+    img = build_box([(0, 63), (0, 63)], 2)
+    a = mask_from_points(img, [(0, 0), (5, 7), (30, 2)])
+    b = mask_from_points(img, [(1, 1), (60, 60), (31, 3)])
+    assert hausdorff(img, a, b) == 55
+    assert metric_of_continuity(img, a, b) == 55
+    assert calls == [1, a, b, 1] + [1 << x for x in mask_indices(a)]
+    assert img._dist_lists is None
+
+
+def test_ambient_subset_diameter_across_components_is_undefined():
+    img = build_explicit(3, [(0, 1)])
+    for diameter in (subset_diameter_ambient, subset_diameter_induced):
+        with pytest.raises(Disconnected):
+            diameter(img, 0b101)
+        assert diameter(img, 0b011) == 1
 
 
 def test_metric_of_continuity_induces_each_subset_once(monkeypatch, square_c1):
