@@ -144,7 +144,7 @@ def map_from_spec(
         raise InputFileError(f"{source}: field 'table' must be a list")
     try:
         if all(isinstance(e, int) for e in entries):
-            return MapTable(dom, cod, tuple(entries))
+            return MapTable(dom, cod, entries)
         table = [None] * dom.n
         for e in entries:
             src, dst = e
@@ -156,7 +156,7 @@ def map_from_spec(
             table[i] = _vertex_of(cod, dst, source)
         if any(v is None for v in table):
             raise InputFileError(f"{source}: field 'table' does not cover the domain")
-        return MapTable(dom, cod, tuple(table))
+        return MapTable(dom, cod, table)
     except _MALFORMED as exc:
         raise InputFileError(f"{source}: {exc}") from exc
 

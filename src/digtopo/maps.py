@@ -55,13 +55,14 @@ class _MapFields(NamedTuple):
 
 class MapTable(_MapFields):
     """A total map between digital images, stored as an index table.
-    Every way of building one, _make, _replace and pickle included,
-    validates the table in __post_init__."""
+    Every public way of building one, _make, _replace and pickle included,
+    stores the table as a tuple and validates it in __post_init__.  Only
+    _kernel_map skips the check, for tables the search kernel yields."""
 
     __slots__ = ()
 
     def __new__(cls, domain, codomain, table):
-        self = tuple.__new__(cls, (domain, codomain, table))
+        self = tuple.__new__(cls, (domain, codomain, tuple(table)))
         self.__post_init__()
         return self
 
@@ -73,6 +74,8 @@ class MapTable(_MapFields):
         if len(self.table) != self.domain.n:
             raise ValueError("table length must equal the domain size")
         t = self.table
+        if not all(isinstance(v, int) for v in t):
+            raise ValueError("table entries must be integers")
         if t and (min(t) < 0 or max(t) >= self.codomain.n):
             raise ValueError("table entry out of codomain range")
 
@@ -86,6 +89,12 @@ class MapTable(_MapFields):
         return self.domain == self.codomain and all(
             v == i for i, v in enumerate(self.table)
         )
+
+
+def _kernel_map(dom: DigitalImage, cod: DigitalImage, table: tuple[int, ...]) -> MapTable:
+    """Wrap a table from _assignments unchecked: the kernel yields only
+    tuples of dom.n set bits of cod.n-bit candidate fields."""
+    return tuple.__new__(MapTable, (dom, cod, table))
 
 
 def identity(img: DigitalImage) -> MapTable:
@@ -106,14 +115,14 @@ def from_point_function(
         if q not in cod.point_index:
             raise ValueError(f"function sends {p} to {q}, outside the codomain")
         table.append(cod.point_index[q])
-    return MapTable(dom, cod, tuple(table))
+    return MapTable(dom, cod, table)
 
 
 def compose(g: MapTable, f: MapTable) -> MapTable:
     """g after f; the inner codomain must match the outer domain."""
     if f.codomain != g.domain:
         raise DomainMismatch("codomain of the inner map must equal the outer domain")
-    return MapTable(f.domain, g.codomain, tuple(g.table[v] for v in f.table))
+    return MapTable(f.domain, g.codomain, [g.table[v] for v in f.table])
 
 
 def _continuous_on(f: MapTable, mask: SubsetMask) -> bool:
@@ -372,7 +381,7 @@ class _Query:
             return SearchOutcome("budget", None, self.budget - start)
         if w is None:
             return SearchOutcome("exhausted", None, self.nodes[0] - start)
-        return SearchOutcome("witness", MapTable(self.img, self.img, w), self.nodes[0] - start)
+        return SearchOutcome("witness", _kernel_map(self.img, self.img, w), self.nodes[0] - start)
 
 
 def run_counterexample_search(
@@ -429,7 +438,7 @@ def iter_counterexamples(
 ) -> Iterator[MapTable]:
     """All counterexamples for the query, in deterministic search order."""
     tables = _Query(img, m, n, math.inf, max_vertices).tables(subset)
-    return (MapTable(img, img, t) for t in tables)
+    return (_kernel_map(img, img, t) for t in tables)
 
 
 def enumerate_continuous_self_maps(img: DigitalImage) -> Iterator[MapTable]:
@@ -444,7 +453,7 @@ def continuous_maps_between(
     _check_vertex_cap("enumeration", DEFAULT_MAX_VERTICES, dom.n, cod.n)
     cand = [(1 << cod.n) - 1] * dom.n
     for table in _assignments(dom.dist_lists(), cod.ball_masks(), range(dom.n), cand):
-        yield MapTable(dom, cod, table)
+        yield _kernel_map(dom, cod, table)
 
 
 # -- homotopy --------------------------------------------------------------
@@ -636,8 +645,10 @@ def cycle_map_census(img: DigitalImage, *, max_maps: int) -> CycleCensus:
     """Classify every continuous self-map of a cycle image.
 
     The maps come from continuous_maps_between, whose forward checking
-    admits only continuous tables, so each is classified without the
-    continuity check that classify_cycle_map makes on a map it is handed.
+    admits only continuous, in-range tables of the right length, so each
+    is built by _kernel_map without MapTable's check and classified
+    without the continuity check that classify_cycle_map makes on a map
+    it is handed.
     Raises BudgetExceeded when the map after the max_maps-th arrives.
     """
     if max_maps < 0:

@@ -34,6 +34,8 @@ CENSUS = {
     7: (2765, 2751),
     8: (8872, 8856),
     10: (89550, 89530),
+    11: (282205, 282183),
+    12: (885492, 885468),
 }
 
 
@@ -59,6 +61,18 @@ def test_census(v):
         assert (seen, counts[NONSURJECTIVE]) == CENSUS[v]
     else:
         assert seen == oracle.cycle_closed_walk_count(v)
+
+
+@pytest.mark.parametrize("v", [11, 12])
+def test_long_census(v):
+    """The census alone, past the lengths classified map by map: the
+    closed-walk count of maps, v of each automorphism kind, none left
+    unclassified."""
+    census = cycle_map_census(build_cycle(v)[0], max_maps=10**6)
+    total = oracle.cycle_closed_walk_count(v)
+    assert (census.total, census.counts[NONSURJECTIVE]) == CENSUS[v] == (total, total - 2 * v)
+    assert (census.counts[ROTATION], census.counts[FLIP_ROTATION]) == (v, v)
+    assert census.unclassified == 0
 
 
 def test_surjective_non_automorphism_is_unclassifiable(cycle8):

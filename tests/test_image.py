@@ -22,6 +22,8 @@ from digtopo.errors import (
 from digtopo.image import (
     DEFAULT_POINT_BUDGET,
     INF,
+    AdjacencyKind,
+    DigitalImage,
     _bfs_row,
     apply_grid_isometry,
     boundary,
@@ -49,7 +51,14 @@ from digtopo.image import (
     product,
     unique_shortest_path,
 )
-from digtopo.maps import MapTable, is_continuous, is_n_map_on
+from digtopo.maps import (
+    MapTable,
+    continuous_maps_between,
+    is_continuous,
+    is_n_map_on,
+    iter_counterexamples,
+    run_counterexample_search,
+)
 
 # small random grid point sets for property tests
 point_sets = st.lists(
@@ -398,6 +407,36 @@ def test_table_readers_match_walk_references(img, data):
         oracle.is_continuous_on(adj, adj, table, ids)
         and all(dist[a][table[a]] <= n for a in ids)
     )
+
+
+# no constructor builds the zero-vertex image, but the kernel takes it
+EMPTY = DigitalImage(
+    points=None, dim=0, adjacency=AdjacencyKind.explicit(), neighbor_masks=()
+)
+ONE = build_explicit(1, [])
+map_ends = st.one_of(st.sampled_from([EMPTY, ONE]), metric_inputs)
+
+
+@given(map_ends, map_ends, st.integers(0, (1 << 16) - 1), st.integers(0, 2), st.integers(0, 2))
+@example(EMPTY, EMPTY, 0, 0, 0)
+@example(ONE, EMPTY, 0, 0, 0)
+@example(EMPTY, ONE, 0, 0, 0)
+@example(build_cycle(6)[0], ONE, 1, 0, 0)
+@settings(max_examples=150, deadline=None)
+def test_kernel_maps_pass_the_public_check(dom, cod, subset, m, n):
+    """Enumerated maps, search witnesses and counterexamples skip
+    MapTable's check; each would pass it and equals the map it builds."""
+    found = list(itertools.islice(continuous_maps_between(dom, cod), 200))
+    assert bool(found) == (cod.n > 0 or dom.n == 0)  # no map into no vertex
+    if dom.n and dom.is_connected():
+        subset &= (1 << dom.n) - 1
+        out = run_counterexample_search(dom, subset, m, n, node_budget=20_000)
+        found += [out.witness] if out.witness else []
+        if dom.n <= 8:
+            found += itertools.islice(iter_counterexamples(dom, subset, m, n), 50)
+    for f in found:
+        f.__post_init__()
+        assert f == MapTable(f.domain, f.codomain, f.table)
 
 
 def test_metric_readonly(path3):

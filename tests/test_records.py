@@ -1,5 +1,6 @@
 """Contracts of the result records: fields, defaults, immutability, and
-the validation every MapTable goes through however it is built."""
+the validation every MapTable goes through however the public API builds
+it."""
 
 from __future__ import annotations
 
@@ -53,10 +54,12 @@ def test_reports_share_no_mutable_default():
         hash(default)
 
 
-BAD_TABLES = [(0, 1, 2), (0, 1, 2, -1), (0, 1, 2, 4)]
+BAD_TABLES = [(0, 1, 2), (0, 1, 2, -1), (0, 1, 2, 4), (0.5, 1, 2, 3), [0, 1, 2, 4]]
 
 
-@pytest.mark.parametrize("bad", BAD_TABLES, ids=["short", "negative", "past-the-end"])
+@pytest.mark.parametrize(
+    "bad", BAD_TABLES, ids=["short", "negative", "past-the-end", "float", "list-past-the-end"]
+)
 def test_map_table_validates_however_built(c4, bad):
     good = MapTable(c4, c4, (0, 1, 2, 3))
     builders = [
@@ -79,6 +82,16 @@ def test_map_table_round_trips(c4):
     assert f._replace(table=(0, 0, 0, 0)).table == (0, 0, 0, 0)
     with pytest.raises(TypeError):
         MapTable._make((c4, c4))
+    # a list table is stored as a tuple, so the map hashes and sets hold it
+    listed = [
+        MapTable(c4, c4, [1, 2, 3, 0]),
+        MapTable._make((c4, c4, [1, 2, 3, 0])),
+        f._replace(table=[1, 2, 3, 0]),
+        pickle.loads(pickle.dumps(tuple.__new__(MapTable, (c4, c4, [1, 2, 3, 0])))),
+    ]
+    for g in listed:
+        assert type(g.table) is tuple and g == f and hash(g) == hash(f)
+    assert len({f, *listed}) == 1
 
 
 def test_map_table_is_immutable(c4):
